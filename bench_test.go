@@ -216,6 +216,40 @@ func BenchmarkCoreHotLoop(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreQuickSuite is the regression-gated per-simpoint core
+// benchmark: one full 20k-uop simulation per iteration of every
+// quick-suite point under VC on two clusters, reporting simulated uops
+// per second. Unlike the crafty-only hot loop it covers the memory-bound
+// points (gcc-1, mcf, ammp) whose LSQ, MSHR and prefetch paths dominate
+// suite time. CI gates it against BENCH_8.json via cmd/benchjson.
+func BenchmarkCoreQuickSuite(b *testing.B) {
+	for _, sp := range workload.QuickSuite() {
+		sp := sp
+		b.Run(sp.Name, func(b *testing.B) {
+			tr := benchTrace(b, sp.Name, 20_000)
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				core, err := pipeline.NewCore(pipeline.DefaultConfig(2), steer.NewVC(2), tr)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := core.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			uops := float64(len(tr.Uops)) * float64(b.N)
+			b.ReportMetric(uops/b.Elapsed().Seconds(), "uops/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/uops, "allocs/uop")
+		})
+	}
+}
+
 // BenchmarkCoreConstruction is the regression-gated microbenchmark of
 // per-run fixed cost: building a machine fresh (NewCore — every ring,
 // cache and queue allocated) versus rewinding a pooled one (Reset — the

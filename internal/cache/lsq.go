@@ -15,12 +15,23 @@ import "fmt"
 type LSQ struct {
 	cap int
 	// buf is a ring holding the live entries in program order (ascending
-	// seq): logical entry i lives at buf[(head+i)&mask]. The ring is sized
-	// once at construction, so allocate/release cycles never allocate.
+	// seq): logical entry i lives at buf[(head+i)&mask]. head counts
+	// releases without wrapping, so head+i is a stable absolute position.
+	// The ring is sized once at construction, so allocate/release cycles
+	// never allocate.
 	buf  []lsqEntry
 	mask int
 	head int
 	n    int
+
+	// unknown is the absolute position of the oldest store whose address
+	// may be unknown: every live entry before it is a load or a store with
+	// a known address. It only moves forward, so advancing it is amortised
+	// O(1) per allocation.
+	unknown int
+	// known counts the live known-address stores per address; a load whose
+	// address has no count cannot match any store.
+	known map[uint64]int32
 
 	// ForwardHits counts successful store-to-load forwards.
 	ForwardHits uint64
@@ -43,7 +54,7 @@ func NewLSQ(capacity int) *LSQ {
 	for size < capacity {
 		size <<= 1
 	}
-	return &LSQ{cap: capacity, buf: make([]lsqEntry, size), mask: size - 1}
+	return &LSQ{cap: capacity, buf: make([]lsqEntry, size), mask: size - 1, known: make(map[uint64]int32)}
 }
 
 // at returns the logical i-th oldest live entry.
@@ -72,8 +83,9 @@ func (q *LSQ) Allocate(seq int64, isStore bool) bool {
 	return true
 }
 
-func (q *LSQ) find(seq int64) *lsqEntry {
-	// Binary search by seq over the logical order.
+// lowerBound returns the logical index of the oldest entry whose seq is
+// at least seq (q.n when there is none).
+func (q *LSQ) lowerBound(seq int64) int {
 	lo, hi := 0, q.n
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -83,8 +95,12 @@ func (q *LSQ) find(seq int64) *lsqEntry {
 			hi = mid
 		}
 	}
-	if lo < q.n && q.at(lo).seq == seq {
-		return q.at(lo)
+	return lo
+}
+
+func (q *LSQ) find(seq int64) *lsqEntry {
+	if i := q.lowerBound(seq); i < q.n && q.at(i).seq == seq {
+		return q.at(i)
 	}
 	return nil
 }
@@ -95,8 +111,23 @@ func (q *LSQ) SetAddress(seq int64, addr uint64) {
 	if e == nil {
 		panic(fmt.Sprintf("cache: SetAddress for unknown LSQ entry %d", seq))
 	}
+	if e.isStore {
+		if e.addrKnown {
+			q.forget(e.addr)
+		}
+		q.known[addr]++
+	}
 	e.addr = addr
 	e.addrKnown = true
+}
+
+// forget drops one known-address store from addr's count.
+func (q *LSQ) forget(addr uint64) {
+	if n := q.known[addr]; n > 1 {
+		q.known[addr] = n - 1
+	} else {
+		delete(q.known, addr)
+	}
 }
 
 // SetStoreData marks the store's data operand as produced.
@@ -142,30 +173,46 @@ func (s LoadStatus) String() string {
 // address. The youngest older same-address store wins; forwarding counts
 // only when this returns LoadForward.
 func (q *LSQ) ProbeLoad(seq int64, addr uint64) LoadStatus {
-	var match *lsqEntry
-	for i := 0; i < q.n; i++ {
-		e := q.at(i)
-		if e.seq >= seq {
+	st, _ := q.Probe(seq, addr)
+	return st
+}
+
+// Probe is ProbeLoad that also names the store the load waits on: the
+// oldest store with an unknown address for LoadBlocked, the matching
+// store for LoadWaitData (-1 otherwise). The load's status cannot change
+// until that store's address or data arrives.
+//
+// No entry is scanned on the common path: the unknown cursor answers
+// LoadBlocked, and an address with no known-address store answers
+// LoadAccess. Only a load whose address some live store writes walks
+// back from itself to the youngest older match.
+func (q *LSQ) Probe(seq int64, addr uint64) (LoadStatus, int64) {
+	end := q.head + q.n
+	for q.unknown < end {
+		e := &q.buf[q.unknown&q.mask]
+		if e.isStore && !e.addrKnown {
+			if e.seq < seq {
+				return LoadBlocked, e.seq
+			}
 			break
 		}
-		if !e.isStore {
+		q.unknown++
+	}
+	if q.known[addr] == 0 {
+		return LoadAccess, -1
+	}
+	for i := q.lowerBound(seq) - 1; i >= 0; i-- {
+		e := q.at(i)
+		if !e.isStore || e.addr != addr {
 			continue
 		}
-		if !e.addrKnown {
-			return LoadBlocked
+		if e.dataReady {
+			q.ForwardHits++
+			return LoadForward, -1
 		}
-		if e.addr == addr {
-			match = e
-		}
+		return LoadWaitData, e.seq
 	}
-	if match == nil {
-		return LoadAccess
-	}
-	if match.dataReady {
-		q.ForwardHits++
-		return LoadForward
-	}
-	return LoadWaitData
+	return LoadAccess, -1
 }
 
 // Release drops the entry at commit. Entries must be released in program
@@ -174,8 +221,14 @@ func (q *LSQ) Release(seq int64) {
 	if q.n == 0 || q.at(0).seq != seq {
 		panic(fmt.Sprintf("cache: LSQ release out of order: head=%v want %d", q.headSeq(), seq))
 	}
-	q.head = (q.head + 1) & q.mask
+	if e := q.at(0); e.isStore && e.addrKnown {
+		q.forget(e.addr)
+	}
+	q.head++
 	q.n--
+	if q.unknown < q.head {
+		q.unknown = q.head
+	}
 }
 
 func (q *LSQ) headSeq() int64 {
@@ -187,6 +240,7 @@ func (q *LSQ) headSeq() int64 {
 
 // Reset clears all entries (between runs).
 func (q *LSQ) Reset() {
-	q.head, q.n = 0, 0
+	q.head, q.n, q.unknown = 0, 0, 0
+	clear(q.known)
 	q.ForwardHits = 0
 }

@@ -108,6 +108,9 @@ func (q *IQ) Cap() int { return q.cap }
 // Width returns the per-cycle issue width.
 func (q *IQ) Width() int { return q.width }
 
+// ReadyLen returns the number of entries whose operands are all ready.
+func (q *IQ) ReadyLen() int { return q.nReady }
+
 // Full reports whether insertion would fail.
 func (q *IQ) Full() bool { return q.n >= q.cap }
 

@@ -35,6 +35,18 @@ type uopState struct {
 	// srcValues are the operand value tags consumed (for store-data
 	// bookkeeping and debugging).
 	srcValues [2]int64
+
+	// park says what a parked op waits for (parkNone when it is not
+	// parked); group is its park group, woken marks a fired wait: the op
+	// reruns at its group's next drain, at the position its retry poll
+	// would have held.
+	park  parkKind
+	woken bool
+	group int32
+	// waitNext links the ops parked on one value or store. waiters heads
+	// the list of loads parked on this store (seq+1; 0 is empty).
+	waitNext int64
+	waiters  int64
 }
 
 // valueState tracks one produced register value across clusters. Values
@@ -55,6 +67,9 @@ type valueState struct {
 	allocMask uint32
 	// produced reports execution of the producer has finished.
 	produced bool
+	// waiters heads the list of stores parked until this value is
+	// readable in their cluster (seq+1; 0 is empty).
+	waiters int64
 }
 
 // event is a scheduled micro-architectural occurrence.
@@ -69,10 +84,30 @@ type eventKind uint8
 const (
 	evComplete   eventKind = iota // execution finishes
 	evAgen                        // load/store address generated
-	evMemTry                      // load retries disambiguation/cache access
+	evMemTry                      // load retries after a refused L1 read port
 	evCopyArrive                  // copy lands in destination cluster
-	evStoreData                   // store waits for its data operand
+	evParked                      // a park group's turn (aux is the group)
 )
+
+// parkKind is what a parked op waits for.
+type parkKind uint8
+
+const (
+	parkNone      parkKind = iota
+	parkStoreData          // store: its data operand, readable in its cluster
+	parkLSQ                // load: an older store's address or data
+	parkMSHR               // load: a free MSHR or a hierarchy change
+	numParkKinds
+)
+
+// parkGroup is a run of parked ops that hold consecutive positions in a
+// cycle's event drain. woken counts members whose wait fired and mshr the
+// members parked on a full MSHR file.
+type parkGroup struct {
+	members []int64
+	woken   int
+	mshr    int
+}
 
 // fetchSlot is one frontend-pipe entry.
 type fetchSlot struct {
@@ -167,6 +202,21 @@ type Core struct {
 	evOverflow    map[int64][]event
 	evOverflowLen int
 	evStats       eventWheelStats
+
+	// groups holds the park groups, indexed by evParked events; freeGroups
+	// lists the unused ones. mshrParked lists the loads parked on a full
+	// MSHR file, all woken together; memGen is the hierarchy generation
+	// they were refused at. parked counts parked ops by kind.
+	groups     []parkGroup
+	freeGroups []int32
+	mshrParked []int64
+	memGen     uint64
+	parked     [numParkKinds]int
+
+	// lastStall is the reason the latest dispatch stage stopped on a stall
+	// (StallNone when it did not), which the idle-cycle fast-forward
+	// replays.
+	lastStall StallReason
 
 	// planCopies, unready and copyTags are dispatch-stage scratch buffers,
 	// reused across cycles so steering/dispatch never allocates.
@@ -387,6 +437,17 @@ func (c *Core) valueReadyIn(seq int64, ci int) {
 	cl.IntQ.Wakeup(seq)
 	cl.FPQ.Wakeup(seq)
 	cl.CopyQ.Wakeup(seq)
+	// Wake the stores parked on this value in cluster ci; stores parked in
+	// other clusters stay linked.
+	for link := &v.waiters; *link != 0; {
+		st := &c.uops[(*link-1)&c.uopMask]
+		if st.cluster == ci {
+			*link = st.waitNext
+			c.wake(st)
+			continue
+		}
+		link = &st.waitNext
+	}
 }
 
 // valueIsReadyIn reports whether the operand value is readable in cluster ci.
@@ -486,6 +547,15 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	clear(c.evOverflow)
 	c.evOverflowLen = 0
 	c.evStats = eventWheelStats{}
+	c.freeGroups = c.freeGroups[:0]
+	for i := range c.groups {
+		c.groups[i] = parkGroup{members: c.groups[i].members[:0]}
+		c.freeGroups = append(c.freeGroups, int32(i))
+	}
+	c.mshrParked = c.mshrParked[:0]
+	c.memGen = 0
+	c.parked = [numParkKinds]int{}
+	c.lastStall = StallNone
 
 	c.planCopies = c.planCopies[:0]
 	c.unready = c.unready[:0]

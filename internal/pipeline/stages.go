@@ -45,18 +45,23 @@ func (c *Core) Run() (*Metrics, error) {
 		c.issue()
 		c.dispatchStage()
 		c.fetch()
-		c.accountOccupancy()
+		c.accountOccupancy(1)
 
 		if c.committed > lastCommitted {
 			lastCommitted = c.committed
 			lastCommit = c.cycle
 		} else if c.cycle-lastCommit > 500_000 {
-			return c.detachMetrics(), fmt.Errorf("pipeline: no commit for 500000 cycles at cycle %d (%d/%d uops); head=%s",
-				c.cycle, c.committed, total, c.describeHead())
+			return c.detachMetrics(), fmt.Errorf("pipeline: no commit for 500000 cycles at cycle %d (%d/%d uops); head=%s; %s",
+				c.cycle, c.committed, total, c.describeHead(), c.describeParked())
 		}
 		if warmup == nil && c.cfg.WarmupUops > 0 && c.committed >= c.cfg.WarmupUops {
 			snap := c.captureCounters()
 			warmup = &snap
+		}
+		if fastForward && c.committed < total {
+			if span := c.idleSpan(lastCommit); span > 0 {
+				c.skipIdle(span)
+			}
 		}
 		c.cycle++
 	}
@@ -173,7 +178,7 @@ func (c *Core) commit() {
 			if !c.mem.L1().ReservePort(c.cycle, true) {
 				return
 			}
-			if _, ok := c.mem.Access(c.cycle, st.u.Addr, true); !ok {
+			if _, ok := c.access(st.u.Addr, true); !ok {
 				return
 			}
 		}
@@ -195,6 +200,9 @@ func (c *Core) commit() {
 // --- events (writeback / copy delivery / memory progress) -------------------
 
 func (c *Core) processEvents() {
+	if len(c.mshrParked) > 0 && c.cycle >= c.mem.MSHRFreeAt() {
+		c.wakeMSHRParked()
+	}
 	if c.evOverflowLen > 0 {
 		if over, ok := c.evOverflow[c.cycle]; ok {
 			delete(c.evOverflow, c.cycle)
@@ -231,6 +239,8 @@ func (c *Core) handleEvent(ev event) {
 		if st := c.uop(ev.seq); st != nil {
 			c.memTry(st)
 		}
+	case evParked:
+		c.drainGroup(int32(ev.aux))
 	case evCopyArrive:
 		c.valueReadyIn(ev.seq, ev.aux)
 		if c.copyInserted != nil {
@@ -240,26 +250,26 @@ func (c *Core) handleEvent(ev event) {
 				delete(c.copyInserted, key)
 			}
 		}
-	case evStoreData:
-		if st := c.uop(ev.seq); st != nil {
-			c.storeDataCheck(st)
-		}
 	}
 }
 
 // storeDataCheck completes a store once its data operand is readable in its
 // cluster (the store-data half of the split store; the address half already
-// ran). Polls once per cycle while the data is in flight.
+// ran). Until then the store parks on the value, and valueReadyIn wakes it.
 func (c *Core) storeDataCheck(st *uopState) {
 	if st.completed {
 		return
 	}
 	if c.valueIsReadyIn(st.srcValues[0], st.cluster) {
 		c.lsq.SetStoreData(st.seq)
+		c.wakeWaiters(st)
 		c.finish(st.seq)
 		return
 	}
-	c.schedule(c.cycle+1, event{evStoreData, st.seq, 0})
+	v := c.value(st.srcValues[0])
+	st.waitNext = v.waiters
+	v.waiters = st.seq + 1
+	c.park(st, parkStoreData)
 }
 
 // finish completes execution of a micro-op.
@@ -289,20 +299,27 @@ func (c *Core) agen(seq int64) {
 	}
 	c.lsq.SetAddress(seq, st.u.Addr)
 	if st.u.Static.Opcode == uarch.OpStore {
+		c.wakeWaiters(st)
 		c.storeDataCheck(st)
 		return
 	}
 	c.memTry(st)
 }
 
-// memTry advances a load through disambiguation and the cache.
+// memTry advances a load through disambiguation and the cache. A load the
+// LSQ holds back parks on the store it waits for; a load refused for a
+// full MSHR file parks until a hierarchy change or an MSHR completes; a
+// load refused a read port retries next cycle, when the ports reset.
 func (c *Core) memTry(st *uopState) {
 	if st.completed {
 		return
 	}
-	switch c.lsq.ProbeLoad(st.seq, st.u.Addr) {
+	switch status, blocker := c.lsq.Probe(st.seq, st.u.Addr); status {
 	case cache.LoadBlocked, cache.LoadWaitData:
-		c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
+		s := c.uop(blocker)
+		st.waitNext = s.waiters
+		s.waiters = st.seq + 1
+		c.park(st, parkLSQ)
 	case cache.LoadForward:
 		c.schedule(c.cycle+1, event{evComplete, st.seq, 0})
 	case cache.LoadAccess:
@@ -310,13 +327,25 @@ func (c *Core) memTry(st *uopState) {
 			c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
 			return
 		}
-		res, ok := c.mem.Access(c.cycle, st.u.Addr, false)
+		res, ok := c.access(st.u.Addr, false)
 		if !ok {
-			c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
+			c.mshrParked = append(c.mshrParked, st.seq)
+			c.park(st, parkMSHR)
 			return
 		}
 		c.schedule(res.Ready, event{evComplete, st.seq, 0})
 	}
+}
+
+// access performs a hierarchy access for the current cycle and wakes the
+// loads parked on a full MSHR file when it changed the hierarchy.
+func (c *Core) access(addr uint64, write bool) (cache.AccessResult, bool) {
+	res, ok := c.mem.Access(c.cycle, addr, write)
+	if c.mem.Gen != c.memGen {
+		c.memGen = c.mem.Gen
+		c.wakeMSHRParked()
+	}
+	return res, ok
 }
 
 // --- issue -------------------------------------------------------------------
@@ -374,12 +403,7 @@ func (c *Core) dispatchStage() {
 				reason = StallPolicy
 				break
 			}
-			if d.Cluster < 0 || d.Cluster >= c.cfg.NumClusters {
-				panic(fmt.Sprintf("pipeline: policy %s chose cluster %d of %d",
-					c.policy.Name(), d.Cluster, c.cfg.NumClusters))
-			}
-			slot.steered = true
-			slot.cluster = d.Cluster
+			c.steered(slot, d)
 		}
 		if r := c.tryDispatch(slot); r != StallNone {
 			reason = r
@@ -389,6 +413,7 @@ func (c *Core) dispatchStage() {
 		c.fetchLen--
 		budget--
 	}
+	c.lastStall = reason
 	if reason != StallNone {
 		c.m.StallCycles[reason]++
 		if reason == StallPolicy || reason == StallIQ {
@@ -596,24 +621,25 @@ func (c *Core) fetch() {
 	}
 }
 
-// accountOccupancy integrates issue-queue occupancy for utilization stats.
-func (c *Core) accountOccupancy() {
+// accountOccupancy integrates issue-queue occupancy for utilization stats
+// over n cycles of unchanged occupancy.
+func (c *Core) accountOccupancy(n uint64) {
 	for i, cl := range c.clusters {
 		pc := &c.m.PerCluster[i]
-		pc.OccupancySum += uint64(cl.Occupancy())
-		pc.IntOccSum += uint64(cl.IntQ.Len())
-		pc.FPOccSum += uint64(cl.FPQ.Len())
+		pc.OccupancySum += n * uint64(cl.Occupancy())
+		pc.IntOccSum += n * uint64(cl.IntQ.Len())
+		pc.FPOccSum += n * uint64(cl.FPQ.Len())
 		pc.IntIssued = cl.IntQ.Issued
 		pc.FPIssued = cl.FPQ.Issued
 		pc.CopyIssued = cl.CopyQ.Issued
 		if h := c.m.Histograms; h != nil {
-			h.IntIQ.Observe(int64(cl.IntQ.Len()))
-			h.FPIQ.Observe(int64(cl.FPQ.Len()))
-			h.CopyQ.Observe(int64(cl.CopyQ.Len()))
+			h.IntIQ.ObserveN(int64(cl.IntQ.Len()), n)
+			h.FPIQ.ObserveN(int64(cl.FPQ.Len()), n)
+			h.CopyQ.ObserveN(int64(cl.CopyQ.Len()), n)
 		}
 	}
 	if h := c.m.Histograms; h != nil {
-		h.ROB.Observe(int64(c.robLen))
+		h.ROB.ObserveN(int64(c.robLen), n)
 	}
 }
 
