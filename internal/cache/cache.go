@@ -140,6 +140,18 @@ func (c *Cache) ReservePort(cycle int64, write bool) bool {
 	return true
 }
 
+// FreeReadPorts returns how many read ports are still free at cycle, or
+// -1 when read ports are unlimited.
+func (c *Cache) FreeReadPorts(cycle int64) int {
+	if c.cfg.ReadPorts <= 0 {
+		return -1
+	}
+	if cycle != c.portCycle {
+		return c.cfg.ReadPorts
+	}
+	return c.cfg.ReadPorts - c.readsUsed
+}
+
 // Lookup probes for addr without filling. Touches LRU on hit.
 func (c *Cache) Lookup(addr uint64) bool {
 	set, tag := c.indexTag(addr)

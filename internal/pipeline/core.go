@@ -84,7 +84,6 @@ type eventKind uint8
 const (
 	evComplete   eventKind = iota // execution finishes
 	evAgen                        // load/store address generated
-	evMemTry                      // load retries after a refused L1 read port
 	evCopyArrive                  // copy lands in destination cluster
 	evParked                      // a park group's turn (aux is the group)
 )
@@ -97,16 +96,18 @@ const (
 	parkStoreData          // store: its data operand, readable in its cluster
 	parkLSQ                // load: an older store's address or data
 	parkMSHR               // load: a free MSHR or a hierarchy change
+	parkPort               // load: an L1 read port free at its position
 	numParkKinds
 )
 
 // parkGroup is a run of parked ops that hold consecutive positions in a
-// cycle's event drain. woken counts members whose wait fired and mshr the
-// members parked on a full MSHR file.
+// cycle's event drain. woken counts members whose wait fired, mshr and
+// port the members parked on a full MSHR file and on a read port, and
+// lead the MSHR-parked members ahead of the first port-parked one.
 type parkGroup struct {
-	members []int64
-	woken   int
-	mshr    int
+	members          []int64
+	woken            int
+	mshr, port, lead int
 }
 
 // fetchSlot is one frontend-pipe entry.

@@ -51,8 +51,14 @@ func (c *Core) enqueue(st *uopState) {
 	}
 	g := &c.groups[gi]
 	g.members = append(g.members, st.seq)
-	if st.park == parkMSHR {
+	switch st.park {
+	case parkMSHR:
 		g.mshr++
+		if g.port == 0 {
+			g.lead++
+		}
+	case parkPort:
+		g.port++
 	}
 	st.group = gi
 }
@@ -105,9 +111,20 @@ func (c *Core) refuseParked(n int) {
 	}
 }
 
-// drainGroup is a park group's turn in the current cycle's drain.
+// portsBlock reports whether every port-parked member of g finds the read
+// ports taken when the group drains with free ports free (-1: unlimited):
+// the MSHR-parked members ahead of the first one use them up.
+func portsBlock(g *parkGroup, free int) bool {
+	return g.port == 0 || (free >= 0 && g.lead >= free)
+}
+
+// drainGroup is a park group's turn in the current cycle's drain. A group
+// with no woken member, whose port-parked members find no free port,
+// replays the MSHR-parked members' refused accesses and moves on whole;
+// otherwise each member takes its turn: a port-parked load retries for
+// real, as does a woken op.
 func (c *Core) drainGroup(gi int32) {
-	if g := &c.groups[gi]; g.woken == 0 {
+	if g := &c.groups[gi]; g.woken == 0 && portsBlock(g, c.mem.L1().FreeReadPorts(c.cycle)) {
 		if g.mshr > 0 {
 			c.refuseParked(g.mshr)
 		}
@@ -117,7 +134,7 @@ func (c *Core) drainGroup(gi int32) {
 	members := c.groups[gi].members
 	for _, seq := range members {
 		st := &c.uops[seq&c.uopMask]
-		if !st.woken {
+		if !st.woken && st.park != parkPort {
 			if st.park == parkMSHR {
 				c.refuseParked(1)
 			}
@@ -152,16 +169,20 @@ func (c *Core) requeue(gi int32) {
 	}
 	t := &c.groups[tg]
 	t.members = append(t.members, g.members...)
+	if t.port == 0 {
+		t.lead += g.lead
+	}
 	t.woken += g.woken
 	t.mshr += g.mshr
+	t.port += g.port
 	c.groups[gi] = parkGroup{members: g.members[:0]}
 	c.freeGroups = append(c.freeGroups, gi)
 }
 
 // describeParked renders the parked-op counts for deadlock diagnostics.
 func (c *Core) describeParked() string {
-	return fmt.Sprintf("parked: store-data=%d lsq=%d mshr=%d",
-		c.parked[parkStoreData], c.parked[parkLSQ], c.parked[parkMSHR])
+	return fmt.Sprintf("parked: store-data=%d lsq=%d mshr=%d port=%d",
+		c.parked[parkStoreData], c.parked[parkLSQ], c.parked[parkMSHR], c.parked[parkPort])
 }
 
 // --- idle-cycle fast-forward ------------------------------------------------
@@ -172,7 +193,8 @@ var fastForward = true
 
 // idleSpan returns how many cycles after the current one provably change
 // nothing but what skipIdle replays: no event but unwoken park groups is
-// due, no issue-queue entry is ready, fetch is frozen or blocked, dispatch
+// due and no port-parked load would find a read port, no issue-queue
+// entry is ready, fetch is frozen or blocked, dispatch
 // repeats the stall it just hit (or waits for the fetch pipe), and the ROB
 // head is either unfinished or a store the full MSHR file keeps refusing.
 // The span never reaches a cycle at which MaxCycles, the no-commit
@@ -211,9 +233,23 @@ func (c *Core) idleSpan(lastCommit int64) int64 {
 			refusing = true
 		}
 	}
+	// Each skipped cycle starts with every read port free; MSHR-parked
+	// loads take them in drain order, and a port-parked load that would
+	// find one left ends the span.
+	free := c.mem.L1().Config().ReadPorts
+	if free <= 0 {
+		free = -1
+	}
 	for _, ev := range c.wheel[(t+1)&c.wheelMask] {
-		if ev.kind != evParked || c.groups[ev.aux].woken > 0 {
+		if ev.kind != evParked {
 			return 0
+		}
+		g := &c.groups[ev.aux]
+		if g.woken > 0 || !portsBlock(g, free) {
+			return 0
+		}
+		if free >= 0 {
+			free = max(free-g.mshr, 0)
 		}
 	}
 	if refusing || len(c.mshrParked) > 0 {

@@ -235,10 +235,6 @@ func (c *Core) handleEvent(ev event) {
 		c.finish(ev.seq)
 	case evAgen:
 		c.agen(ev.seq)
-	case evMemTry:
-		if st := c.uop(ev.seq); st != nil {
-			c.memTry(st)
-		}
 	case evParked:
 		c.drainGroup(int32(ev.aux))
 	case evCopyArrive:
@@ -309,7 +305,7 @@ func (c *Core) agen(seq int64) {
 // memTry advances a load through disambiguation and the cache. A load the
 // LSQ holds back parks on the store it waits for; a load refused for a
 // full MSHR file parks until a hierarchy change or an MSHR completes; a
-// load refused a read port retries next cycle, when the ports reset.
+// load refused a read port parks until a port is free at its position.
 func (c *Core) memTry(st *uopState) {
 	if st.completed {
 		return
@@ -324,7 +320,7 @@ func (c *Core) memTry(st *uopState) {
 		c.schedule(c.cycle+1, event{evComplete, st.seq, 0})
 	case cache.LoadAccess:
 		if !c.mem.L1().ReservePort(c.cycle, false) {
-			c.schedule(c.cycle+1, event{evMemTry, st.seq, 0})
+			c.park(st, parkPort)
 			return
 		}
 		res, ok := c.access(st.u.Addr, false)
