@@ -130,3 +130,122 @@ func TestLSQDisambiguationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refLSQ is a linear-scan load/store queue: the reference the indexed
+// probe must agree with.
+type refLSQ struct {
+	ents     []refLSQEntry
+	forwards uint64
+}
+
+type refLSQEntry struct {
+	seq                int64
+	store, known, data bool
+	addr               uint64
+}
+
+func (r *refLSQ) find(seq int64) *refLSQEntry {
+	for i := range r.ents {
+		if r.ents[i].seq == seq {
+			return &r.ents[i]
+		}
+	}
+	return nil
+}
+
+// probe scans every older entry: an unknown-address store blocks, and the
+// youngest same-address store forwards or makes the load wait.
+func (r *refLSQ) probe(seq int64, addr uint64) (LoadStatus, int64) {
+	var match *refLSQEntry
+	for i := range r.ents {
+		e := &r.ents[i]
+		if e.seq >= seq {
+			break
+		}
+		if !e.store {
+			continue
+		}
+		if !e.known {
+			return LoadBlocked, e.seq
+		}
+		if e.addr == addr {
+			match = e
+		}
+	}
+	switch {
+	case match == nil:
+		return LoadAccess, -1
+	case match.data:
+		r.forwards++
+		return LoadForward, -1
+	}
+	return LoadWaitData, match.seq
+}
+
+// TestLSQProbeMatchesLinearScan drives random allocate, address, data,
+// release and reset sequences through a small (wrapping) LSQ and requires
+// every probe's status, blocking store and forward count to equal the
+// linear-scan reference's.
+func TestLSQProbeMatchesLinearScan(t *testing.T) {
+	addrs := []uint64{0x100, 0x140, 0x180, 0x1c0, 0x200}
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := NewLSQ(12)
+		ref := &refLSQ{}
+		next := int64(0)
+		live := func() *refLSQEntry {
+			if len(ref.ents) == 0 {
+				return nil
+			}
+			return &ref.ents[rng.Intn(len(ref.ents))]
+		}
+		for step := 0; step < 1500; step++ {
+			switch op := rng.Intn(20); {
+			case op < 6:
+				store := rng.Intn(2) == 0
+				ok := q.Allocate(next, store)
+				if ok != (len(ref.ents) < 12) {
+					t.Fatalf("seed %d step %d: Allocate = %v with %d live", seed, step, ok, len(ref.ents))
+				}
+				if ok {
+					ref.ents = append(ref.ents, refLSQEntry{seq: next, store: store})
+				}
+				next += 1 + int64(rng.Intn(3))
+			case op < 10:
+				if e := live(); e != nil && !e.known {
+					e.addr, e.known = addrs[rng.Intn(len(addrs))], true
+					q.SetAddress(e.seq, e.addr)
+				}
+			case op < 12:
+				if e := live(); e != nil && e.store && !e.data {
+					e.data = true
+					q.SetStoreData(e.seq)
+				}
+			case op < 15:
+				if len(ref.ents) > 0 {
+					q.Release(ref.ents[0].seq)
+					ref.ents = ref.ents[1:]
+				}
+			case op < 16 && rng.Intn(20) == 0:
+				q.Reset()
+				ref = &refLSQ{}
+			default:
+				seq := next
+				if e := live(); e != nil && rng.Intn(4) > 0 {
+					seq = e.seq
+				}
+				addr := addrs[rng.Intn(len(addrs))]
+				gotSt, gotBy := q.Probe(seq, addr)
+				wantSt, wantBy := ref.probe(seq, addr)
+				if gotSt != wantSt || gotBy != wantBy {
+					t.Fatalf("seed %d step %d: Probe(%d, %#x) = %v/%d, reference %v/%d",
+						seed, step, seq, addr, gotSt, gotBy, wantSt, wantBy)
+				}
+			}
+			if q.ForwardHits != ref.forwards || q.Len() != len(ref.ents) {
+				t.Fatalf("seed %d step %d: ForwardHits %d len %d, reference %d len %d",
+					seed, step, q.ForwardHits, q.Len(), ref.forwards, len(ref.ents))
+			}
+		}
+	}
+}

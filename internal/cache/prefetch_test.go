@@ -1,6 +1,9 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestTaggedPrefetchHidesStream verifies the tagged stream prefetcher: a
 // sequential sweep should, after startup, be served at L1-hit or merged
@@ -93,5 +96,185 @@ func TestPrefetchedLineCountsAsDemandHitLater(t *testing.T) {
 	}
 	if got := res2.Ready - late; got != 3 {
 		t.Errorf("latency = %d, want 3 (L1 hit)", got)
+	}
+}
+
+// refHierarchy is the hierarchy with the original full-map prefetch
+// sweep, kept as the reference for the heap-ordered expiry. It shares the
+// Cache type (unchanged) and repeats Access step for step.
+type refHierarchy struct {
+	cfg        HierarchyConfig
+	l1, l2     *Cache
+	mshrs      []mshr
+	prefetches map[uint64]int64
+
+	prefetchCount, fullEvents uint64
+}
+
+func newRefHierarchy(cfg HierarchyConfig) *refHierarchy {
+	return &refHierarchy{cfg: cfg, l1: MustNew(cfg.L1), l2: MustNew(cfg.L2), prefetches: map[uint64]int64{}}
+}
+
+func (h *refHierarchy) expire(cycle int64) {
+	out := h.mshrs[:0]
+	for _, m := range h.mshrs {
+		if m.ready > cycle {
+			out = append(out, m)
+		}
+	}
+	h.mshrs = out
+	if len(h.prefetches) > 64 {
+		for line, ready := range h.prefetches {
+			if ready <= cycle {
+				delete(h.prefetches, line)
+			}
+		}
+	}
+}
+
+func (h *refHierarchy) access(cycle int64, addr uint64) (AccessResult, bool) {
+	h.expire(cycle)
+	line := h.l1.LineAddr(addr)
+	for _, m := range h.mshrs {
+		if m.lineAddr == line {
+			return AccessResult{Ready: m.ready + int64(h.cfg.L1.HitLatency), Level: 2, Merged: true}, true
+		}
+	}
+	if pf, ok := h.prefetches[line]; ok {
+		h.prefetchAfter(cycle, line)
+		if pf <= cycle {
+			delete(h.prefetches, line)
+		} else {
+			return AccessResult{Ready: pf + int64(h.cfg.L1.HitLatency), Level: 2, Merged: true}, true
+		}
+	}
+	if h.l1.Lookup(addr) {
+		return AccessResult{Ready: cycle + int64(h.cfg.L1.HitLatency), Level: 1}, true
+	}
+	if len(h.mshrs) >= h.cfg.MSHRs {
+		h.fullEvents++
+		return AccessResult{}, false
+	}
+	ready, level := cycle+int64(h.cfg.L2.HitLatency), 2
+	if h.l2.Lookup(addr) {
+		h.l1.Fill(addr)
+	} else {
+		ready, level = ready+int64(h.cfg.MemLatency), 3
+		h.l2.Fill(addr)
+		h.l1.Fill(addr)
+	}
+	h.mshrs = append(h.mshrs, mshr{lineAddr: line, ready: ready})
+	h.prefetchAfter(cycle, line)
+	return AccessResult{Ready: ready, Level: level}, true
+}
+
+func (h *refHierarchy) prefetchAfter(cycle int64, line uint64) {
+	for d := 1; d <= h.cfg.PrefetchDegree; d++ {
+		next := line + uint64(d*h.cfg.L1.LineBytes)
+		if _, inflight := h.prefetches[next]; inflight {
+			continue
+		}
+		already := false
+		for _, m := range h.mshrs {
+			already = already || m.lineAddr == next
+		}
+		if already || h.l1.Contains(next) {
+			continue
+		}
+		lat := int64(h.cfg.L2.HitLatency)
+		if !h.l2.Contains(next) {
+			lat += int64(h.cfg.MemLatency)
+			h.l2.Fill(next)
+		}
+		h.l1.Fill(next)
+		h.prefetches[next] = cycle + lat
+		h.prefetchCount++
+	}
+}
+
+// TestPrefetchExpiryMatchesFullSweep drives random access streams that
+// push the prefetch table past its 64-record sweep threshold and re-touch
+// prefetched lines, and requires the heap-ordered expiry to match the
+// full-map sweep exactly: every AccessResult, the prefetch records, the
+// Prefetches count and the refused-access count. Replayed refusals
+// (Refused, RefusedSpan) must match per-cycle refused accesses too.
+func TestPrefetchExpiryMatchesFullSweep(t *testing.T) {
+	cfg := DefaultHierarchyConfig()
+	cfg.L1.SizeBytes = 4 << 10 // small caches keep lines cycling out
+	cfg.L2.SizeBytes = 64 << 10
+	cfg.MemLatency = 300
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h, err := NewHierarchy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefHierarchy(cfg)
+		cycle := int64(0)
+		streams := make([]uint64, 6)
+		for i := range streams {
+			streams[i] = uint64(0x100000 * (i + 1))
+		}
+		crossed := false
+		for step := 0; step < 4000; step++ {
+			var addr uint64
+			switch r := rng.Intn(10); {
+			case r < 6: // sequential streams re-touch prefetched lines
+				s := rng.Intn(len(streams))
+				addr = streams[s]
+				streams[s] += uint64(8 * (1 + rng.Intn(16)))
+			case r < 8: // revisit a recent line
+				addr = streams[rng.Intn(len(streams))] - uint64(64*rng.Intn(6))
+			default: // cold line elsewhere
+				addr = 0x4000000 + uint64(rng.Intn(1<<14))*64
+			}
+			if h.Refuses(cycle, addr) && rng.Intn(2) == 0 {
+				// Replay a span of refused polls; the span must end before
+				// any MSHR completes, as the core guarantees.
+				span := int64(rng.Intn(40))
+				if free := h.MSHRFreeAt(); cycle+span >= free {
+					span = free - cycle - 1
+				}
+				n := 1 + rng.Intn(2)
+				h.RefusedSpan(cycle, cycle+span, n)
+				for c := cycle; c <= cycle+span; c++ {
+					for i := 0; i < n; i++ {
+						if _, ok := ref.access(c, addr); ok {
+							t.Fatalf("seed %d step %d: Refuses(%d, %#x) but the reference access succeeded", seed, step, c, addr)
+						}
+					}
+				}
+				cycle += span + 1
+			} else {
+				got, gok := h.Access(cycle, addr, rng.Intn(4) == 0)
+				want, wok := ref.access(cycle, addr)
+				if got != want || gok != wok {
+					t.Fatalf("seed %d step %d: Access(%d, %#x) = %+v/%v, reference %+v/%v",
+						seed, step, cycle, addr, got, gok, want, wok)
+				}
+			}
+			if len(h.prefetches) > 64 {
+				crossed = true
+			}
+			if len(h.prefetches) != len(ref.prefetches) {
+				t.Fatalf("seed %d step %d: %d prefetch records, reference %d", seed, step, len(h.prefetches), len(ref.prefetches))
+			}
+			for line, ready := range ref.prefetches {
+				if r, ok := h.prefetches[line]; !ok || r != ready {
+					t.Fatalf("seed %d step %d: prefetch record %#x = %d/%v, reference %d", seed, step, line, r, ok, ready)
+				}
+			}
+			if h.Prefetches != ref.prefetchCount || h.MSHRFullEvents != ref.fullEvents || h.l1.Stats() != ref.l1.Stats() {
+				t.Fatalf("seed %d step %d: counters diverged: prefetches %d/%d, refused %d/%d",
+					seed, step, h.Prefetches, ref.prefetchCount, h.MSHRFullEvents, ref.fullEvents)
+			}
+			cycle += int64(rng.Intn(12))
+			if rng.Intn(50) == 0 {
+				cycle += 400
+			}
+		}
+		if !crossed {
+			t.Errorf("seed %d: the prefetch table never passed the sweep threshold", seed)
+		}
 	}
 }

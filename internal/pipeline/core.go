@@ -138,6 +138,8 @@ type eventWheelStats struct {
 	// scheduled counts all scheduled events; overflowed counts the subset
 	// that landed beyond the wheel horizon (far-future overflow bucket).
 	scheduled, overflowed int64
+	// skipped counts the idle cycles fast-forwarded over.
+	skipped int64
 }
 
 // Core is one simulated machine instance. It is single-goroutine; run many

@@ -322,6 +322,7 @@ func (c *Core) skipIdle(span int64) {
 	dst := (to + 1) & c.wheelMask
 	c.wheel[dst] = append(c.wheel[dst], c.wheel[src]...)
 	c.wheel[src] = c.wheel[src][:0]
+	c.evStats.skipped += n
 	c.cycle = to
 }
 

@@ -40,12 +40,7 @@ func (c *Core) Run() (*Metrics, error) {
 			return c.detachMetrics(), fmt.Errorf("pipeline: exceeded %d cycles at %d/%d uops",
 				c.cfg.MaxCycles, c.committed, total)
 		}
-		c.commit()
-		c.processEvents()
-		c.issue()
-		c.dispatchStage()
-		c.fetch()
-		c.accountOccupancy(1)
+		c.step()
 
 		if c.committed > lastCommitted {
 			lastCommitted = c.committed
@@ -73,6 +68,16 @@ func (c *Core) Run() (*Metrics, error) {
 	final.MaxCyclesExceeded = c.m.MaxCyclesExceeded
 	c.m = final
 	return c.detachMetrics(), nil
+}
+
+// step runs one cycle's stages, in order.
+func (c *Core) step() {
+	c.commit()
+	c.processEvents()
+	c.issue()
+	c.dispatchStage()
+	c.fetch()
+	c.accountOccupancy(1)
 }
 
 // detachMetrics copies the accumulated metrics off the core's reusable
