@@ -274,17 +274,11 @@ func (h *Hierarchy) prefetchAfter(cycle int64, lineAddr uint64) {
 	}
 }
 
-// OutstandingMisses returns the live MSHR count (after expiry at cycle).
-func (h *Hierarchy) OutstandingMisses(cycle int64) int {
-	h.expireMSHRs(cycle)
-	return len(h.mshrs)
-}
-
 // Refuses reports whether Access(cycle, addr, ·) would be refused for a
 // full MSHR file, without performing it: no in-flight fill or prefetch
 // record covers the line, L1 misses, and every MSHR is still busy at
 // cycle. Until Gen advances or cycle reaches MSHRFreeAt, the answer stays
-// true and a refused access changes nothing but what Refused replays.
+// true and a refused access changes nothing but what RefusedSpan replays.
 func (h *Hierarchy) Refuses(cycle int64, addr uint64) bool {
 	lineAddr := h.l1.LineAddr(addr)
 	busy := 0
@@ -317,12 +311,6 @@ func (h *Hierarchy) MSHRFreeAt() int64 {
 		free = min(free, m.ready)
 	}
 	return free
-}
-
-// Refused replays the side effects of n accesses at cycle that Refuses
-// says fail: the expiry check, the MSHRFullEvents count and the L1 miss.
-func (h *Hierarchy) Refused(cycle int64, n int) {
-	h.RefusedSpan(cycle, cycle, n)
 }
 
 // RefusedSpan replays n refused accesses in every cycle of [from, to], a

@@ -171,22 +171,16 @@ func (s LoadStatus) String() string {
 
 // ProbeLoad evaluates disambiguation for the load with the given seq and
 // address. The youngest older same-address store wins; forwarding counts
-// only when this returns LoadForward.
-func (q *LSQ) ProbeLoad(seq int64, addr uint64) LoadStatus {
-	st, _ := q.Probe(seq, addr)
-	return st
-}
-
-// Probe is ProbeLoad that also names the store the load waits on: the
-// oldest store with an unknown address for LoadBlocked, the matching
-// store for LoadWaitData (-1 otherwise). The load's status cannot change
-// until that store's address or data arrives.
+// only when this returns LoadForward. It also names the store the load
+// waits on: the oldest store with an unknown address for LoadBlocked, the
+// matching store for LoadWaitData (-1 otherwise). The load's status cannot
+// change until that store's address or data arrives.
 //
 // No entry is scanned on the common path: the unknown cursor answers
 // LoadBlocked, and an address with no known-address store answers
 // LoadAccess. Only a load whose address some live store writes walks
 // back from itself to the youngest older match.
-func (q *LSQ) Probe(seq int64, addr uint64) (LoadStatus, int64) {
+func (q *LSQ) ProbeLoad(seq int64, addr uint64) (LoadStatus, int64) {
 	end := q.head + q.n
 	for q.unknown < end {
 		e := &q.buf[q.unknown&q.mask]

@@ -45,7 +45,7 @@ func TestLoadBlockedByUnknownStoreAddress(t *testing.T) {
 	q.Allocate(1, true)  // store, address unknown
 	q.Allocate(2, false) // load
 	q.SetAddress(2, 0x100)
-	if got := q.ProbeLoad(2, 0x100); got != LoadBlocked {
+	if got, _ := q.ProbeLoad(2, 0x100); got != LoadBlocked {
 		t.Errorf("ProbeLoad = %v, want blocked (older store address unknown)", got)
 	}
 }
@@ -55,11 +55,11 @@ func TestStoreToLoadForwarding(t *testing.T) {
 	q.Allocate(1, true)
 	q.Allocate(2, false)
 	q.SetAddress(1, 0x100)
-	if got := q.ProbeLoad(2, 0x100); got != LoadWaitData {
+	if got, _ := q.ProbeLoad(2, 0x100); got != LoadWaitData {
 		t.Errorf("ProbeLoad = %v, want wait-data (store data not produced)", got)
 	}
 	q.SetStoreData(1)
-	if got := q.ProbeLoad(2, 0x100); got != LoadForward {
+	if got, _ := q.ProbeLoad(2, 0x100); got != LoadForward {
 		t.Errorf("ProbeLoad = %v, want forward", got)
 	}
 	if q.ForwardHits != 1 {
@@ -72,7 +72,7 @@ func TestLoadAccessWhenNoConflict(t *testing.T) {
 	q.Allocate(1, true)
 	q.Allocate(2, false)
 	q.SetAddress(1, 0x200) // different address
-	if got := q.ProbeLoad(2, 0x100); got != LoadAccess {
+	if got, _ := q.ProbeLoad(2, 0x100); got != LoadAccess {
 		t.Errorf("ProbeLoad = %v, want access", got)
 	}
 }
@@ -85,7 +85,7 @@ func TestYoungestOlderStoreWins(t *testing.T) {
 	q.SetAddress(1, 0x100)
 	q.SetStoreData(1)
 	q.SetAddress(2, 0x100) // younger store, same address, data NOT ready
-	if got := q.ProbeLoad(3, 0x100); got != LoadWaitData {
+	if got, _ := q.ProbeLoad(3, 0x100); got != LoadWaitData {
 		t.Errorf("ProbeLoad = %v, want wait-data (youngest matching store lacks data)", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestYoungerStoresDoNotAffectLoad(t *testing.T) {
 	q := NewLSQ(8)
 	q.Allocate(1, false)
 	q.Allocate(2, true) // younger than the load
-	if got := q.ProbeLoad(1, 0x100); got != LoadAccess {
+	if got, _ := q.ProbeLoad(1, 0x100); got != LoadAccess {
 		t.Errorf("ProbeLoad = %v, want access (younger store is irrelevant)", got)
 	}
 }
@@ -120,7 +120,7 @@ func TestLSQDisambiguationProperty(t *testing.T) {
 				q.Allocate(seq, false)
 			}
 		}
-		got := q.ProbeLoad(int64(n), 0x9999)
+		got, _ := q.ProbeLoad(int64(n), 0x9999)
 		if anyUnknown {
 			return got == LoadBlocked
 		}
@@ -235,10 +235,10 @@ func TestLSQProbeMatchesLinearScan(t *testing.T) {
 					seq = e.seq
 				}
 				addr := addrs[rng.Intn(len(addrs))]
-				gotSt, gotBy := q.Probe(seq, addr)
+				gotSt, gotBy := q.ProbeLoad(seq, addr)
 				wantSt, wantBy := ref.probe(seq, addr)
 				if gotSt != wantSt || gotBy != wantBy {
-					t.Fatalf("seed %d step %d: Probe(%d, %#x) = %v/%d, reference %v/%d",
+					t.Fatalf("seed %d step %d: ProbeLoad(%d, %#x) = %v/%d, reference %v/%d",
 						seed, step, seq, addr, gotSt, gotBy, wantSt, wantBy)
 				}
 			}

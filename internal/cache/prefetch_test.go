@@ -197,7 +197,7 @@ func (h *refHierarchy) prefetchAfter(cycle int64, line uint64) {
 // prefetched lines, and requires the heap-ordered expiry to match the
 // full-map sweep exactly: every AccessResult, the prefetch records, the
 // Prefetches count and the refused-access count. Replayed refusals
-// (Refused, RefusedSpan) must match per-cycle refused accesses too.
+// (RefusedSpan) must match per-cycle refused accesses too.
 func TestPrefetchExpiryMatchesFullSweep(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
 	cfg.L1.SizeBytes = 4 << 10 // small caches keep lines cycling out

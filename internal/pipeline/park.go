@@ -107,7 +107,7 @@ func (c *Core) refuseParked(n int) {
 		took++
 	}
 	if took > 0 {
-		c.mem.Refused(c.cycle, took)
+		c.mem.RefusedSpan(c.cycle, c.cycle, took)
 	}
 }
 

@@ -315,7 +315,7 @@ func (c *Core) memTry(st *uopState) {
 	if st.completed {
 		return
 	}
-	switch status, blocker := c.lsq.Probe(st.seq, st.u.Addr); status {
+	switch status, blocker := c.lsq.ProbeLoad(st.seq, st.u.Addr); status {
 	case cache.LoadBlocked, cache.LoadWaitData:
 		s := c.uop(blocker)
 		st.waitNext = s.waiters
