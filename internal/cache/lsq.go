@@ -29,9 +29,11 @@ type LSQ struct {
 	// a known address. It only moves forward, so advancing it is amortised
 	// O(1) per allocation.
 	unknown int
-	// known counts the live known-address stores per address; a load whose
-	// address has no count cannot match any store.
-	known map[uint64]int32
+	// known counts the live known-address stores per address hash bucket
+	// (knownMask+1 buckets, four per slot). A load whose bucket is empty
+	// cannot match any store; a non-empty one is checked exactly.
+	known     []int32
+	knownMask uint64
 
 	// ForwardHits counts successful store-to-load forwards.
 	ForwardHits uint64
@@ -54,7 +56,10 @@ func NewLSQ(capacity int) *LSQ {
 	for size < capacity {
 		size <<= 1
 	}
-	return &LSQ{cap: capacity, buf: make([]lsqEntry, size), mask: size - 1, known: make(map[uint64]int32)}
+	return &LSQ{
+		cap: capacity, buf: make([]lsqEntry, size), mask: size - 1,
+		known: make([]int32, 4*size), knownMask: uint64(4*size - 1),
+	}
 }
 
 // at returns the logical i-th oldest live entry.
@@ -113,21 +118,17 @@ func (q *LSQ) SetAddress(seq int64, addr uint64) {
 	}
 	if e.isStore {
 		if e.addrKnown {
-			q.forget(e.addr)
+			q.known[q.bucket(e.addr)]--
 		}
-		q.known[addr]++
+		q.known[q.bucket(addr)]++
 	}
 	e.addr = addr
 	e.addrKnown = true
 }
 
-// forget drops one known-address store from addr's count.
-func (q *LSQ) forget(addr uint64) {
-	if n := q.known[addr]; n > 1 {
-		q.known[addr] = n - 1
-	} else {
-		delete(q.known, addr)
-	}
+// bucket hashes an address to its known-store counter.
+func (q *LSQ) bucket(addr uint64) uint64 {
+	return (addr * 0x9e3779b97f4a7c15 >> 32) & q.knownMask
 }
 
 // SetStoreData marks the store's data operand as produced.
@@ -178,7 +179,7 @@ func (s LoadStatus) String() string {
 //
 // No entry is scanned on the common path: the unknown cursor answers
 // LoadBlocked, and an address with no known-address store answers
-// LoadAccess. Only a load whose address some live store writes walks
+// LoadAccess. Only a load whose address bucket holds a live store walks
 // back from itself to the youngest older match.
 func (q *LSQ) ProbeLoad(seq int64, addr uint64) (LoadStatus, int64) {
 	end := q.head + q.n
@@ -192,7 +193,7 @@ func (q *LSQ) ProbeLoad(seq int64, addr uint64) (LoadStatus, int64) {
 		}
 		q.unknown++
 	}
-	if q.known[addr] == 0 {
+	if q.known[q.bucket(addr)] == 0 {
 		return LoadAccess, -1
 	}
 	for i := q.lowerBound(seq) - 1; i >= 0; i-- {
@@ -216,7 +217,7 @@ func (q *LSQ) Release(seq int64) {
 		panic(fmt.Sprintf("cache: LSQ release out of order: head=%v want %d", q.headSeq(), seq))
 	}
 	if e := q.at(0); e.isStore && e.addrKnown {
-		q.forget(e.addr)
+		q.known[q.bucket(e.addr)]--
 	}
 	q.head++
 	q.n--

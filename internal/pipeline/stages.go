@@ -17,7 +17,9 @@ var ErrCanceled = errors.New("pipeline: run canceled")
 // stage order is: commit (sees last cycle's completions), writeback events
 // (complete execution, deliver copies, wake consumers), issue, steer +
 // dispatch, fetch. This ordering gives back-to-back issue of single-cycle
-// dependence chains and a one-cycle dispatch-to-issue gap.
+// dependence chains and a one-cycle dispatch-to-issue gap. Runs of cycles
+// that provably change nothing but per-cycle counters are fast-forwarded
+// (idleSpan, skipIdle) with the same result as stepping through them.
 //
 // The returned Metrics is detached from the core: it stays valid (and
 // immutable) after the core is Reset for its next pooled run, so result
