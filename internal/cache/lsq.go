@@ -30,7 +30,7 @@ type LSQ struct {
 	// O(1) per allocation.
 	unknown int
 	// known counts the live known-address stores per address hash bucket
-	// (knownMask+1 buckets, four per slot). A load whose bucket is empty
+	// (knownMask+1 buckets, four per ring slot). A load whose bucket is empty
 	// cannot match any store; a non-empty one is checked exactly.
 	known     []int32
 	knownMask uint64

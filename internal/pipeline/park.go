@@ -194,11 +194,11 @@ var fastForward = true
 // idleSpan returns how many cycles after the current one provably change
 // nothing but what skipIdle replays: no event but unwoken park groups is
 // due and no port-parked load would find a read port, no issue-queue
-// entry is ready, fetch is frozen or blocked, dispatch
-// repeats the stall it just hit (or waits for the fetch pipe), and the ROB
-// head is either unfinished or a store the full MSHR file keeps refusing.
-// The span never reaches a cycle at which MaxCycles, the no-commit
-// watchdog or the cancel check could fire, nor an MSHR completion.
+// entry is ready, fetch is frozen or blocked, dispatch repeats the stall
+// it just hit (or waits for the fetch pipe), and the ROB head is either
+// unfinished or a store the full MSHR file keeps refusing. The span never
+// reaches a cycle at which MaxCycles, the no-commit watchdog or the
+// cancel check could fire, nor an MSHR completion.
 func (c *Core) idleSpan(lastCommit int64) int64 {
 	t := c.cycle
 	end := lastCommit + 500_000
@@ -236,10 +236,7 @@ func (c *Core) idleSpan(lastCommit int64) int64 {
 	// Each skipped cycle starts with every read port free; MSHR-parked
 	// loads take them in drain order, and a port-parked load that would
 	// find one left ends the span.
-	free := c.mem.L1().Config().ReadPorts
-	if free <= 0 {
-		free = -1
-	}
+	free := c.mem.L1().FreeReadPorts(t + 1)
 	for _, ev := range c.wheel[(t+1)&c.wheelMask] {
 		if ev.kind != evParked {
 			return 0
@@ -253,11 +250,11 @@ func (c *Core) idleSpan(lastCommit int64) int64 {
 		}
 	}
 	if refusing || len(c.mshrParked) > 0 {
-		free := c.mem.MSHRFreeAt()
-		if free <= t+1 {
+		freeAt := c.mem.MSHRFreeAt()
+		if freeAt <= t+1 {
 			return 0
 		}
-		end = min(end, free-1)
+		end = min(end, freeAt-1)
 	}
 	for u := t + 2; u <= end+1; u++ {
 		if len(c.wheel[u&c.wheelMask]) > 0 {
@@ -311,7 +308,7 @@ func (c *Core) skipIdle(span int64) {
 	for _, ev := range c.wheel[src] {
 		refused += c.groups[ev.aux].mshr
 	}
-	if ports := c.mem.L1().Config().ReadPorts; ports > 0 {
+	if ports := c.mem.L1().FreeReadPorts(from); ports >= 0 {
 		refused = min(refused, ports)
 	}
 	if c.robLen > 0 && c.robHeadState().completed {
