@@ -238,7 +238,10 @@ func TestMSHRFullLoadWokenByPrefetch(t *testing.T) {
 // TestDeadlockErrorNamesParked wedges the ROB head on a load slower than
 // the no-commit watchdog and checks the error names the ops parked behind
 // it by kind: a store waiting for the load's value, a load waiting for the
-// store's data, and a load refused for the only MSHR.
+// store's data, and a load refused for the only MSHR. The same wedge under
+// a MaxCycles cap below the watchdog aborts instead. Either way the
+// fast-forwarded run must stop at the same cycle, with the same error and
+// metrics, as the cycle-by-cycle one.
 func TestDeadlockErrorNamesParked(t *testing.T) {
 	ops := []prog.StaticOp{
 		{Opcode: uarch.OpLoad, Dst: uarch.IntReg(1), Src1: uarch.IntReg(15), Src2: uarch.RegNone},
@@ -247,20 +250,93 @@ func TestDeadlockErrorNamesParked(t *testing.T) {
 		{Opcode: uarch.OpLoad, Dst: uarch.IntReg(5), Src1: uarch.IntReg(15), Src2: uarch.RegNone},
 	}
 	tr := handTrace(ops, []uint64{0x100000, 0x800000, 0x800000, 0x2000000})
-	cfg := DefaultConfig(2)
-	cfg.Mem.MSHRs, cfg.Mem.MemLatency = 1, 600_000
-	core, err := NewCore(cfg, &steer.OneCluster{}, tr)
-	if err != nil {
-		t.Fatal(err)
+	run := func(maxCycles int64) (*Metrics, *Core, error) {
+		cfg := DefaultConfig(2)
+		cfg.Mem.MSHRs, cfg.Mem.MemLatency = 1, 600_000
+		cfg.MaxCycles = maxCycles
+		cfg.TrackHistograms = true
+		core, err := NewCore(cfg, &steer.OneCluster{}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := core.Run()
+		if err == nil {
+			t.Fatalf("MaxCycles %d: run with a 600k-cycle load finished", maxCycles)
+		}
+		return m, core, err
 	}
-	_, err = core.Run()
-	if err == nil {
-		t.Fatal("run with a 600k-cycle load finished without tripping the watchdog")
+	defer func() { fastForward = true }()
+	for _, maxCycles := range []int64{0, 300_000} {
+		fastForward = true
+		m, core, err := run(maxCycles)
+		if maxCycles == 0 {
+			if want := "parked: store-data=1 lsq=1 mshr=1 port=0"; !strings.Contains(err.Error(), want) {
+				t.Errorf("deadlock error %q does not name %q", err, want)
+			}
+		} else if !m.MaxCyclesExceeded {
+			t.Errorf("MaxCycles %d: run stopped without MaxCyclesExceeded: %v", maxCycles, err)
+		}
+		if core.evStats.skipped == 0 {
+			t.Errorf("MaxCycles %d: the wedged run fast-forwarded no idle cycle", maxCycles)
+		}
+		fastForward = false
+		refM, _, refErr := run(maxCycles)
+		if err.Error() != refErr.Error() {
+			t.Errorf("MaxCycles %d: fast-forwarded error %q, cycle-by-cycle %q", maxCycles, err, refErr)
+		}
+		var a, b bytes.Buffer
+		if gob.NewEncoder(&a).Encode(m) != nil || gob.NewEncoder(&b).Encode(refM) != nil {
+			t.Fatal("encoding metrics")
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Errorf("MaxCycles %d: metrics differ from the cycle-by-cycle run", maxCycles)
+		}
 	}
-	if want := "parked: store-data=1 lsq=1 mshr=1 port=0"; !strings.Contains(err.Error(), want) {
-		t.Errorf("deadlock error %q does not name %q", err, want)
+}
+
+// cancelAfter closes a cancel channel on its policy's n-th steering call.
+type cancelAfter struct {
+	steer.Policy
+	n    int
+	done chan struct{}
+}
+
+func (p *cancelAfter) Steer(ctx steer.Context, u *trace.Uop) steer.Decision {
+	if p.n--; p.n == 0 {
+		close(p.done)
 	}
-	if core.evStats.skipped == 0 {
-		t.Error("the wedged run fast-forwarded no idle cycle")
+	return p.Policy.Steer(ctx, u)
+}
+
+// TestCancelStopsAtSameCycle cancels memory-bound runs part-way through:
+// Run notices cancellation only at its periodic check, so a fast-forward
+// that skipped over a check cycle would stop later than the cycle-by-cycle
+// run. Both must stop at the same cycle.
+func TestCancelStopsAtSameCycle(t *testing.T) {
+	traces := suiteTraces(t, 6000)
+	stopAt := func(name string, calls int) int64 {
+		done := make(chan struct{})
+		cfg := DefaultConfig(2)
+		cfg.Cancel = done
+		core, err := NewCore(cfg, &cancelAfter{Policy: &steer.OP{}, n: calls, done: done}, traces[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Run(); err != ErrCanceled {
+			t.Fatalf("%s: Run = %v, want ErrCanceled", name, err)
+		}
+		return core.cycle
+	}
+	defer func() { fastForward = true }()
+	for _, name := range []string{"gcc-1", "mcf", "ammp"} {
+		for _, calls := range []int{500, 2000, 4000} {
+			fastForward = true
+			got := stopAt(name, calls)
+			fastForward = false
+			if want := stopAt(name, calls); got != want {
+				t.Errorf("%s, cancel after %d steers: fast-forwarded run stopped at cycle %d, cycle-by-cycle at %d",
+					name, calls, got, want)
+			}
+		}
 	}
 }
