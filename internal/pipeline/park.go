@@ -7,23 +7,23 @@ import (
 	"clustersim/internal/uarch"
 )
 
-// Parking replaces the memory path's per-cycle retry polls. A store
-// waiting for its data, a load the LSQ holds back, and a load refused for
-// a full MSHR file each used to reschedule itself every cycle; now each
-// parks until the event that can change its outcome wakes it, as a
-// Microgrid thread suspends on an empty register until the write.
+// A memory op that cannot progress parks instead of retrying every
+// cycle: a store waiting for its data, a load the LSQ holds back, and a
+// load refused a read port or an MSHR. It stays parked until the event
+// that can change its outcome wakes it, as a Microgrid thread suspends on
+// an empty register until the write.
 //
-// The polls were ordered, and that order is observable: it decides which
-// load gets an L1 read port and whether a store completes in the cycle its
-// data arrives or the next. So a parked op keeps the position its poll
-// would have held in each cycle's event drain. Consecutive parked ops
-// share one park group behind a single evParked event; draining a group
-// whose members were not woken re-appends it for the next cycle in O(1),
-// exactly where the members' polls would have been re-appended. A woken
-// member runs its real handler at its own position in the group, and the
-// members around it keep theirs. A failed poll has no side effect except
-// for MSHR-parked loads, which still take a read port and make a refused
-// access; the group replays those at its position.
+// The model is defined by per-cycle retries, and their order is
+// observable: it decides which load gets an L1 read port and whether a
+// store completes in the cycle its data arrives or the next. So a parked
+// op keeps the position its retry would hold in each cycle's event drain.
+// Consecutive parked ops share one park group behind a single evParked
+// event; draining a group whose members were not woken re-appends it for
+// the next cycle in O(1), exactly where the members' retries would go. A
+// woken member runs its real handler at its own position in the group,
+// and the members around it keep theirs. A failed retry has no side
+// effect except for MSHR-parked loads, which take a read port and make a
+// refused access; the group replays those at its position.
 
 // tailGroup returns the park group that is the latest event due next
 // cycle, or -1 when that event is not a park group.
