@@ -3,6 +3,8 @@ package pipeline
 import (
 	"bytes"
 	"encoding/gob"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -69,8 +71,9 @@ func TestNoOpLeftParkedAfterRun(t *testing.T) {
 
 // TestFastForwardMatchesCycleByCycle requires runs that fast-forward idle
 // cycles to produce byte-identical metrics and steering counters to the
-// cycle-by-cycle reference, with a cancel channel set so skips also stop
-// at every cancel check.
+// cycle-by-cycle reference: on the memory-stress machines, with a cancel
+// channel set so skips also stop at every cancel check, and on seeded
+// random machines under every policy family.
 func TestFastForwardMatchesCycleByCycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory-stress sweep")
@@ -114,6 +117,47 @@ func TestFastForwardMatchesCycleByCycle(t *testing.T) {
 						cname, name, pol().Name())
 				}
 			}
+		}
+	}
+	// Seeded random machines widen the net: queue, register and window
+	// sizes, frontend depth, link and memory latencies, port and MSHR
+	// counts, and every steering policy family.
+	policies := []func() steer.Policy{
+		func() steer.Policy { return &steer.OP{} },
+		func() steer.Policy { return &steer.OP{NoStall: true} },
+		func() steer.Policy { return steer.NewVC(2) },
+		func() steer.Policy { return &steer.ModN{} },
+		func() steer.Policy { return &steer.LeastLoaded{} },
+		func() steer.Policy { return &steer.DependenceBalanced{} },
+		func() steer.Policy { return &steer.Slice{} },
+		func() steer.Policy { return &steer.OneCluster{} },
+	}
+	names := make([]string, 0, len(traces))
+	for name := range traces {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	rng := rand.New(rand.NewSource(1))
+	pick := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
+	for i := 0; i < 25; i++ {
+		cfg := DefaultConfig(pick(1, 2, 4))
+		cfg.ROBSize, cfg.LSQSize = pick(32, 128, 512), pick(4, 32, 256)
+		cfg.Cluster.IQInt, cfg.Cluster.IQFP, cfg.Cluster.IQCopy = pick(4, 48), pick(4, 48), pick(2, 24)
+		cfg.Cluster.IntRegs, cfg.Cluster.FPRegs = pick(48, 256), pick(48, 256)
+		cfg.FetchToDispatch, cfg.Net.Latency = pick(1, 3, 5), pick(1, 2, 4)
+		cfg.Mem.L1.ReadPorts, cfg.Mem.L1.WritePorts = pick(0, 1, 2), pick(0, 1)
+		cfg.Mem.MSHRs, cfg.Mem.PrefetchDegree = pick(1, 2, 16), pick(0, 1, 4)
+		cfg.Mem.MemLatency = pick(50, 500, 2000)
+		cfg.TrackHistograms, cfg.WarmupUops = pick(0, 1) == 1, int64(pick(0, 500))
+		name, pol := names[rng.Intn(len(names))], policies[rng.Intn(len(policies))]
+		fastForward = false
+		want, _ := encode(cfg, traces[name], pol())
+		fastForward = true
+		got, n := encode(cfg, traces[name], pol())
+		skipped += n
+		if !bytes.Equal(got, want) {
+			t.Errorf("random machine %d (%s, %s, %+v): fast-forwarded run differs from the cycle-by-cycle one",
+				i, name, pol().Name(), cfg)
 		}
 	}
 	if skipped == 0 {
