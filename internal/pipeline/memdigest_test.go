@@ -96,19 +96,17 @@ var memStressDigests = map[string]string{
 // memStressNames are the simpoints the stress digests run.
 var memStressNames = []string{"gcc-1", "mcf", "ammp", "swim"}
 
-func memStressRun(t *testing.T, cfg Config, tr *trace.Trace, pol string) string {
+// runEncoded runs tr on a fresh core and gob-encodes the run's metrics
+// and steering complexity, everything a result reports.
+func runEncoded(t *testing.T, cfg Config, tr *trace.Trace, pol steer.Policy) ([]byte, *Core) {
 	t.Helper()
-	policy := map[string]func() steer.Policy{
-		"OP": func() steer.Policy { return &steer.OP{} },
-		"VC": func() steer.Policy { return steer.NewVC(2) },
-	}[pol]()
-	core, err := NewCore(cfg, policy, tr)
+	core, err := NewCore(cfg, pol, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := core.Run()
 	if err != nil {
-		t.Fatalf("%s/%s: %v", tr.Name, pol, err)
+		t.Fatalf("%s/%s: %v", tr.Name, pol.Name(), err)
 	}
 	var b bytes.Buffer
 	if err := gob.NewEncoder(&b).Encode(struct {
@@ -117,7 +115,17 @@ func memStressRun(t *testing.T, cfg Config, tr *trace.Trace, pol string) string 
 	}{m, core.ComplexityOf()}); err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(b.Bytes())
+	return b.Bytes(), core
+}
+
+func memStressRun(t *testing.T, cfg Config, tr *trace.Trace, pol string) string {
+	t.Helper()
+	policy := map[string]func() steer.Policy{
+		"OP": func() steer.Policy { return &steer.OP{} },
+		"VC": func() steer.Policy { return steer.NewVC(2) },
+	}[pol]()
+	enc, _ := runEncoded(t, cfg, tr, policy)
+	sum := sha256.Sum256(enc)
 	return hex.EncodeToString(sum[:])
 }
 

@@ -80,22 +80,8 @@ func TestFastForwardMatchesCycleByCycle(t *testing.T) {
 	}
 	traces := suiteTraces(t, 5000)
 	encode := func(cfg Config, tr *trace.Trace, pol steer.Policy) ([]byte, int64) {
-		core, err := NewCore(cfg, pol, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := core.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(struct {
-			M *Metrics
-			C steer.Complexity
-		}{m, core.ComplexityOf()}); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes(), core.evStats.skipped
+		enc, core := runEncoded(t, cfg, tr, pol)
+		return enc, core.evStats.skipped
 	}
 	defer func() { fastForward = true }()
 	var skipped int64
