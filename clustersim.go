@@ -21,9 +21,9 @@
 //
 // Every run path executes on a caching, streaming simulation engine
 // (NewEngine): sharing one engine across runs and experiments memoizes
-// annotated programs, expanded traces and whole results, simulating each
-// unique (workload, configuration, options) combination exactly once per
-// process, with context cancellation and live progress reporting.
+// annotated programs and whole results, simulating each unique (workload,
+// configuration, options) combination exactly once per process, with
+// context cancellation and live progress reporting.
 package clustersim
 
 import (
@@ -118,9 +118,9 @@ func RunMatrix(ws []*Workload, setups []Setup, opt RunOptions, parallelism int) 
 
 // Engine is the shared caching, streaming simulation engine. All run paths
 // (Run, RunMatrix, the experiment harness, cmd/steerbench) execute on an
-// engine; sharing one instance across calls memoizes annotated programs,
-// expanded traces and whole results, so each unique (workload, setup,
-// options) simulation executes exactly once per process.
+// engine; sharing one instance across calls memoizes annotated programs
+// and whole results, so each unique (workload, setup, options) simulation
+// executes exactly once per process.
 type Engine = engine.Engine
 
 // EngineOptions configures a new Engine (parallelism, caching, progress).

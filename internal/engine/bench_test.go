@@ -1,81 +1,46 @@
-package engine
+package engine_test
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
-	"clustersim/internal/pipeline"
+	"clustersim/internal/engine"
+	"clustersim/internal/sim"
 	"clustersim/internal/workload"
 )
 
-// BenchmarkTraceCacheConcurrentHit measures what a trace-cache hit costs
-// once the entry exists, in both decompressions (reported as unpacks/op)
-// and allocations. Serial hits have nothing to share — each one gunzips
-// the entry afresh, so unpacks/op pins at 1. Parallel hits overlap, and
-// overlapping users take references to one shared unpacked form instead
-// of decompressing privately, so unpacks/op must land well below 1. CI
-// gates both sub-benchmarks via cmd/benchjson.
-func BenchmarkTraceCacheConcurrentHit(b *testing.B) {
-	bench := func(b *testing.B, parallel bool) {
-		e := New(Options{Parallelism: 8})
-		sp := workload.ByName("crafty")
-		opt := RunOptions{NumUops: 5_000}
-		cfg := pipeline.DefaultConfig(2)
-		p, progKey := e.annotated(sp, Setup{}, &cfg)
-		if progKey == "" {
-			b.Fatal("uncacheable program key")
+// BenchmarkEngineSweep times whole engine jobs — queue, annotate, expand
+// and simulate — where the core benchmarks time Core.Run alone. Each
+// iteration builds a fresh engine (cold caches, as a new steerbench or
+// clusterd process starts) and streams every quick-suite point under OP,
+// OB and VC(2->2) at 20k uops, reporting simulated uops per second and
+// allocations per simulated uop. CI gates it against BENCH_13.json via
+// cmd/benchjson.
+func BenchmarkEngineSweep(b *testing.B) {
+	const numUops = 20_000
+	var jobs []engine.Job
+	for _, sp := range workload.QuickSuite() {
+		for _, s := range []sim.Setup{sim.SetupOP(2), sim.SetupOB(2), sim.SetupVC(2, 2)} {
+			jobs = append(jobs, engine.Job{Simpoint: sp, Setup: s, Opts: sim.RunOptions{NumUops: numUops}})
 		}
-		// Warm: this expand packs the trace into the cache; releasing drops
-		// the unpacked form so every measured hit starts compressed-only.
-		tr, release := e.expand(p, progKey, sp, opt)
-		if tr == nil {
-			b.Fatal("warm expansion failed")
-		}
-		release()
-		// Sanity: re-expanding the same key must be a cache hit, or the
-		// benchmark would measure full expansions.
-		tr, release = e.expand(p, progKey, sp, opt)
-		_ = tr
-		release()
-		if e.traces.hits.Load() == 0 {
-			b.Fatal("trace cache not hitting; benchmark would measure expansion")
-		}
-		base := e.traceUnpacks.Load()
-		b.ReportAllocs()
-		b.ResetTimer()
-		if parallel {
-			b.RunParallel(func(pb *testing.PB) {
-				// Hold the previous reference while acquiring the next, the
-				// way overlapping simulations hold their traces: the entry's
-				// refcount stays above zero, so after the first unpack every
-				// acquisition shares the live form.
-				var prev func()
-				for pb.Next() {
-					tr, release := e.expand(p, progKey, sp, opt)
-					if tr == nil {
-						b.Error("expand returned nil trace")
-						return
-					}
-					if prev != nil {
-						prev()
-					}
-					prev = release
-				}
-				if prev != nil {
-					prev()
-				}
-			})
-		} else {
-			for i := 0; i < b.N; i++ {
-				tr, release := e.expand(p, progKey, sp, opt)
-				if tr == nil {
-					b.Fatal("expand returned nil trace")
-				}
-				release()
+	}
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := engine.New(engine.Options{})
+		for jr := range eng.Stream(context.Background(), jobs) {
+			if jr.Result.Err != nil {
+				b.Fatal(jr.Result.Err)
 			}
 		}
-		b.StopTimer()
-		b.ReportMetric(float64(e.traceUnpacks.Load()-base)/float64(b.N), "unpacks/op")
 	}
-	b.Run("Serial", func(b *testing.B) { bench(b, false) })
-	b.Run("Parallel", func(b *testing.B) { bench(b, true) })
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	uops := float64(len(jobs)) * numUops * float64(b.N)
+	b.ReportMetric(uops/b.Elapsed().Seconds(), "uops/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/uops, "allocs/uop")
 }

@@ -1,33 +1,17 @@
 package engine
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 )
 
-// flightCache is a content-keyed cache with single-flight semantics: the
-// first caller of a key computes the value while concurrent callers of the
-// same key block until the computation lands, so an artifact is never built
-// twice. Completed entries are bounded by total cost — approximate bytes
-// for traces, the dominant artifact — and evicted least-recently-used;
-// in-flight entries are never evicted. maxCost <= 0 means unbounded; a nil
-// costOf counts every entry as cost 1, making maxCost an entry bound.
+// flightCache is an unbounded content-keyed cache with single-flight
+// semantics: the first caller of a key computes the value while concurrent
+// callers of the same key block until the computation lands, so an
+// artifact is never built twice.
 type flightCache[V any] struct {
 	mu      sync.Mutex
 	entries map[string]*flightEntry[V]
-	order   *list.List // completed keys, most recently used at back
-	maxCost int64
-	costOf  func(V) int64
-	// auxOf, if set, tracks a second gauge alongside cost (e.g. the raw
-	// byte size of entries whose cost is their compressed size). It never
-	// influences eviction.
-	auxOf func(V) int64
-
-	cost          int64
-	costHighWater int64
-	aux           int64
-	auxHighWater  int64
 
 	hits, misses atomic.Int64
 }
@@ -35,19 +19,11 @@ type flightCache[V any] struct {
 type flightEntry[V any] struct {
 	done chan struct{}
 	val  V
-	cost int64
-	aux  int64
 	keep bool
-	elem *list.Element
 }
 
-func newFlightCache[V any](maxCost int64, costOf func(V) int64) *flightCache[V] {
-	return &flightCache[V]{
-		entries: map[string]*flightEntry[V]{},
-		order:   list.New(),
-		maxCost: maxCost,
-		costOf:  costOf,
-	}
+func newFlightCache[V any]() *flightCache[V] {
+	return &flightCache[V]{entries: map[string]*flightEntry[V]{}}
 }
 
 // get returns the value for key, computing it via fn on first use. The
@@ -73,7 +49,6 @@ func (c *flightCache[V]) get(abort <-chan struct{}, key string, fn func() (V, bo
 			// Joins of discarded flights (failed, canceled or panicked)
 			// don't count as hits — the caller will recompute.
 			c.hits.Add(1)
-			c.touch(key, e)
 		}
 		return e.val, true, false
 	}
@@ -83,64 +58,13 @@ func (c *flightCache[V]) get(abort <-chan struct{}, key string, fn func() (V, bo
 	c.misses.Add(1)
 
 	defer func() {
-		c.mu.Lock()
 		if !e.keep {
+			c.mu.Lock()
 			delete(c.entries, key)
-		} else {
-			e.cost = 1
-			if c.costOf != nil {
-				e.cost = c.costOf(e.val)
-			}
-			if c.auxOf != nil {
-				e.aux = c.auxOf(e.val)
-			}
-			e.elem = c.order.PushBack(key)
-			c.cost += e.cost
-			if c.cost > c.costHighWater {
-				c.costHighWater = c.cost
-			}
-			c.aux += e.aux
-			if c.aux > c.auxHighWater {
-				c.auxHighWater = c.aux
-			}
-			// Evict oldest completed entries until back under budget; the
-			// entry just published always survives (the cache must remain
-			// useful even for a single artifact larger than the bound).
-			for c.maxCost > 0 && c.cost > c.maxCost && c.order.Front() != e.elem {
-				front := c.order.Front()
-				victim := c.entries[front.Value.(string)]
-				c.order.Remove(front)
-				delete(c.entries, front.Value.(string))
-				c.cost -= victim.cost
-				c.aux -= victim.aux
-			}
+			c.mu.Unlock()
 		}
-		c.mu.Unlock()
 		close(e.done)
 	}()
 	e.val, e.keep = fn()
 	return e.val, false, false
-}
-
-// touch refreshes key's LRU position if it is still the cached entry.
-func (c *flightCache[V]) touch(key string, e *flightEntry[V]) {
-	c.mu.Lock()
-	if cur, ok := c.entries[key]; ok && cur == e && e.elem != nil {
-		c.order.MoveToBack(e.elem)
-	}
-	c.mu.Unlock()
-}
-
-// costStats snapshots the current and high-water cost.
-func (c *flightCache[V]) costStats() (cost, highWater int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cost, c.costHighWater
-}
-
-// auxStats snapshots the current and high-water secondary gauge.
-func (c *flightCache[V]) auxStats() (aux, highWater int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aux, c.auxHighWater
 }

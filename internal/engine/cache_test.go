@@ -7,7 +7,7 @@ import (
 
 // A panicking computation must unblock waiters and leave the key usable.
 func TestFlightPanicDoesNotPoisonKey(t *testing.T) {
-	c := newFlightCache[int](0, nil)
+	c := newFlightCache[int]()
 	waited := make(chan int, 1)
 	started := make(chan struct{})
 	go func() {
@@ -41,7 +41,7 @@ func TestFlightPanicDoesNotPoisonKey(t *testing.T) {
 // A waiter whose abort channel fires must return promptly, not wait for
 // the in-flight computation.
 func TestFlightAbortWhileWaiting(t *testing.T) {
-	c := newFlightCache[int](0, nil)
+	c := newFlightCache[int]()
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go func() {
@@ -68,46 +68,4 @@ func TestFlightAbortWhileWaiting(t *testing.T) {
 		t.Fatal("aborted waiter did not return")
 	}
 	close(release)
-}
-
-// LRU eviction drops the oldest completed entries only (nil costOf makes
-// maxCost a plain entry bound).
-func TestFlightLRUEviction(t *testing.T) {
-	c := newFlightCache[int](2, nil)
-	c.get(nil, "a", func() (int, bool) { return 1, true })
-	c.get(nil, "b", func() (int, bool) { return 2, true })
-	c.get(nil, "a", func() (int, bool) { return -1, true }) // touch a
-	c.get(nil, "c", func() (int, bool) { return 3, true })  // evicts b
-	if _, cached, _ := c.get(nil, "a", func() (int, bool) { return -1, true }); !cached {
-		t.Error("recently used entry evicted")
-	}
-	if _, cached, _ := c.get(nil, "b", func() (int, bool) { return -2, true }); cached {
-		t.Error("least recently used entry survived past the cap")
-	}
-}
-
-// Cost-based bounding evicts by accumulated cost, never the entry just
-// published, and tracks the byte high-water mark.
-func TestFlightCostBoundedEviction(t *testing.T) {
-	costs := map[string]int64{"a": 40, "b": 40, "c": 40, "huge": 500}
-	c := newFlightCache[string](100, func(v string) int64 { return costs[v] })
-	c.get(nil, "a", func() (string, bool) { return "a", true })
-	c.get(nil, "b", func() (string, bool) { return "b", true })
-	c.get(nil, "a", func() (string, bool) { return "a", true }) // touch a
-	c.get(nil, "c", func() (string, bool) { return "c", true }) // 120 > 100: evicts b
-	if _, cached, _ := c.get(nil, "b", func() (string, bool) { return "b", true }); cached {
-		t.Error("LRU victim b survived the cost bound")
-	}
-	cost, high := c.costStats()
-	if cost > 100+costs["b"] { // b was just re-added above
-		t.Errorf("cost %d far beyond bound", cost)
-	}
-	if high < 120 {
-		t.Errorf("high water %d, want >= 120", high)
-	}
-	// An oversized entry still lands (and evicts everything else).
-	c.get(nil, "huge", func() (string, bool) { return "huge", true })
-	if _, cached, _ := c.get(nil, "huge", func() (string, bool) { return "huge", true }); !cached {
-		t.Error("oversized entry not retained")
-	}
 }

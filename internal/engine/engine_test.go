@@ -128,8 +128,9 @@ func TestUniquePairSimulatedOnce(t *testing.T) {
 	}
 }
 
-// Hardware-only policies share one clean expanded trace per simpoint.
-func TestTraceSharedAcrossPolicies(t *testing.T) {
+// Hardware-only policies share one clean annotated program per simpoint,
+// while every simulation expands its own trace from it.
+func TestProgramSharedAcrossPolicies(t *testing.T) {
 	sps := workload.QuickSuite()[:2]
 	setups := []sim.Setup{sim.SetupOP(2), sim.SetupOneCluster(2), sim.SetupOPNoStall(2)}
 	eng := engine.New(engine.Options{Parallelism: 2})
@@ -137,12 +138,47 @@ func TestTraceSharedAcrossPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := eng.Stats()
-	if st.TraceMisses != int64(len(sps)) {
-		t.Errorf("expanded %d traces, want %d (one clean trace per simpoint)",
-			st.TraceMisses, len(sps))
+	if st.ProgramMisses != int64(len(sps)) {
+		t.Errorf("annotated %d programs, want %d (one clean program per simpoint)",
+			st.ProgramMisses, len(sps))
 	}
-	if st.TraceHits != int64(len(sps)*(len(setups)-1)) {
-		t.Errorf("trace hits = %d, want %d", st.TraceHits, len(sps)*(len(setups)-1))
+	if st.ProgramHits != int64(len(sps)*(len(setups)-1)) {
+		t.Errorf("program hits = %d, want %d", st.ProgramHits, len(sps)*(len(setups)-1))
+	}
+	if st.TraceMisses != st.Simulations || st.TraceHits != 0 {
+		t.Errorf("%d expansions and %d trace hits for %d simulations, want one expansion each and no hits",
+			st.TraceMisses, st.TraceHits, st.Simulations)
+	}
+}
+
+// Setups sharing a cached annotated program must still simulate
+// byte-identically to the uncached reference: OP and one-cluster both run
+// the clean program, the second from the program cache.
+func TestSharedProgramRunsMatchRunOne(t *testing.T) {
+	sp := workload.ByName("crafty")
+	opts := sim.RunOptions{NumUops: 4000}
+
+	refOP := sim.RunOne(sp, sim.SetupOP(2), opts)
+	refOne := sim.RunOne(sp, sim.SetupOneCluster(2), opts)
+	if refOP.Err != nil || refOne.Err != nil {
+		t.Fatalf("reference runs: %v %v", refOP.Err, refOne.Err)
+	}
+
+	eng := engine.New(engine.Options{Parallelism: 1})
+	gotOP := eng.Run(context.Background(), engine.Job{Simpoint: sp, Setup: sim.SetupOP(2), Opts: opts})
+	gotOne := eng.Run(context.Background(), engine.Job{Simpoint: sp, Setup: sim.SetupOneCluster(2), Opts: opts})
+	if gotOP.Err != nil || gotOne.Err != nil {
+		t.Fatalf("engine runs: %v %v", gotOP.Err, gotOne.Err)
+	}
+
+	if st := eng.Stats(); st.ProgramHits != 1 {
+		t.Fatalf("program hits = %d, want 1 (second setup must reuse the clean program)", st.ProgramHits)
+	}
+	if !bytes.Equal(encode(t, gotOP.Metrics), encode(t, refOP.Metrics)) {
+		t.Error("OP metrics differ from uncached reference")
+	}
+	if !bytes.Equal(encode(t, gotOne.Metrics), encode(t, refOne.Metrics)) {
+		t.Error("one-cluster metrics differ from uncached reference")
 	}
 }
 
