@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,7 +17,6 @@ import (
 	"clustersim/client"
 	"clustersim/internal/api"
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/service"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
@@ -157,35 +157,38 @@ func TestRunnerMatchesLocalEngine(t *testing.T) {
 	}
 }
 
-// Jobs with no declarative wire form route to the local fallback; without
-// one they fail loudly instead of silently simulating the wrong thing.
-func TestRunnerFallback(t *testing.T) {
+// A job on a MachineSpec travels to the server and returns the result a
+// local engine computes for it; a job with no wire form fails loudly
+// instead of silently simulating the wrong thing.
+func TestRunnerShipsMachineSpec(t *testing.T) {
 	_, c, serverEng := startServer(t)
 	ctx := context.Background()
 	sp := workload.ByName("gzip-1")
 	tweaked := engine.Job{
 		Simpoint: sp,
 		Setup:    sim.SetupOP(2),
-		Opts: engine.RunOptions{NumUops: 2000, TweakKey: "lat9",
-			MachineTweak: func(cfg *pipeline.Config) { cfg.Net.Latency = 9 }},
+		Opts:     engine.RunOptions{NumUops: 2000, Machine: engine.MachineSpec{LinkLatency: 9}},
 	}
 
-	bare := client.NewRunner(c)
-	if res := bare.Run(ctx, tweaked); res.Err == nil {
-		t.Fatal("non-remoteable job succeeded without a fallback")
-	}
-
-	local := engine.New(engine.Options{Parallelism: 1})
-	hybrid := client.NewRunner(c, client.WithFallback(local))
-	res := hybrid.Run(ctx, tweaked)
+	r := client.NewRunner(c)
+	res := r.Run(ctx, tweaked)
 	if res.Err != nil {
-		t.Fatalf("fallback run: %v", res.Err)
+		t.Fatalf("machine-spec job: %v", res.Err)
 	}
-	if serverEng.Stats().Simulations != 0 {
-		t.Errorf("tweaked job leaked to the server")
+	if serverEng.Stats().Simulations != 1 {
+		t.Errorf("machine-spec job did not run on the server")
 	}
-	if local.Stats().Simulations != 1 {
-		t.Errorf("tweaked job did not run on the fallback engine")
+	want := engine.Execute(ctx, tweaked)
+	got, _ := engine.EncodeResult(res)
+	ref, _ := engine.EncodeResult(want)
+	if !bytes.Equal(got, ref) {
+		t.Error("remote machine-spec result differs from the local engine's")
+	}
+
+	custom := engine.Job{Simpoint: &workload.Simpoint{Name: "homegrown", Program: sp.Program, Weight: 1},
+		Setup: sim.SetupOP(2), Opts: engine.RunOptions{NumUops: 2000}}
+	if res := r.Run(ctx, custom); res.Err == nil {
+		t.Fatal("a non-suite workload succeeded remotely")
 	}
 }
 

@@ -21,13 +21,10 @@ import (
 )
 
 // Runner executes engine jobs on a remote clusterd instance. Jobs with no
-// declarative wire form (custom annotate/policy closures, machine tweaks,
-// non-suite workloads) are routed to the optional local fallback runner;
-// without one they fail with the conversion error. Safe for concurrent
-// use.
+// declarative wire form (hand-built setups, non-suite workloads) fail
+// with the conversion error. Safe for concurrent use.
 type Runner struct {
 	c           *Client
-	local       engine.Runner
 	progress    func(done, total int, label string)
 	maxParallel int
 	tracer      *obs.Tracer
@@ -53,13 +50,6 @@ func (e *JobError) Error() string { return "clusterd: " + e.Message }
 
 // RunnerOption configures a Runner.
 type RunnerOption func(*Runner)
-
-// WithFallback routes jobs that cannot travel (no declarative spec) to a
-// local runner instead of failing them. steerbench uses a private local
-// engine here so ablations with machine-tweak closures still run.
-func WithFallback(local engine.Runner) RunnerOption {
-	return func(r *Runner) { r.local = local }
-}
 
 // WithProgress mirrors engine.Options.Progress: fn is called after every
 // finished job with the runner-lifetime completed and submitted counts.
@@ -117,8 +107,8 @@ func (r *Runner) Run(ctx context.Context, job engine.Job) *engine.Result {
 }
 
 // Stream submits the jobs and returns a channel yielding each result as
-// it completes. Remote-able jobs travel as one batch submission; the rest
-// go to the local fallback concurrently. The channel is buffered to hold
+// it completes. Jobs with a wire form travel as one batch submission; the
+// rest fail with the conversion error. The channel is buffered to hold
 // every result and closed once all jobs finish.
 func (r *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.JobResult {
 	out := make(chan engine.JobResult, len(jobs))
@@ -127,48 +117,23 @@ func (r *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 		defer close(out)
 		r.captureBaseline(ctx)
 
-		// Partition: jobs with a wire form go remote, the rest local.
 		var specs []engine.JobSpec
 		var remoteIdx []int
-		var localJobs []engine.Job
-		var localIdx []int
 		for i, job := range jobs {
 			spec, err := sim.SpecFromJob(job)
-			switch {
-			case err == nil:
-				specs = append(specs, spec)
-				remoteIdx = append(remoteIdx, i)
-			case r.local != nil:
-				localJobs = append(localJobs, jobs[i])
-				localIdx = append(localIdx, i)
-			default:
-				out <- r.finish(engine.JobResult{Index: i, Job: jobs[i], Result: &engine.Result{
-					Simpoint: jobs[i].Simpoint, Setup: jobs[i].Setup.Label,
-					Err: fmt.Errorf("client: job not remoteable and no local fallback: %w", err),
+			if err != nil {
+				out <- r.finish(engine.JobResult{Index: i, Job: job, Result: &engine.Result{
+					Simpoint: job.Simpoint, Setup: job.Setup.Label,
+					Err: fmt.Errorf("client: job not remoteable: %w", err),
 				}})
+				continue
 			}
-		}
-
-		var wg sync.WaitGroup
-		if len(localJobs) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for jr := range r.local.Stream(ctx, localJobs) {
-					out <- r.finish(engine.JobResult{
-						Index: localIdx[jr.Index], Job: jr.Job, Result: jr.Result,
-					})
-				}
-			}()
+			specs = append(specs, spec)
+			remoteIdx = append(remoteIdx, i)
 		}
 		if len(specs) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r.streamRemote(ctx, jobs, specs, remoteIdx, out)
-			}()
+			r.streamRemote(ctx, jobs, specs, remoteIdx, out)
 		}
-		wg.Wait()
 	}()
 	return out
 }
@@ -259,10 +224,6 @@ func (r *Runner) fetch(ctx context.Context, job engine.Job, ev api.JobEvent) *en
 		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label,
 			Err: &JobError{Message: ev.Error}}
 	}
-	if ev.Key == "" {
-		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label,
-			Err: errors.New("client: server reported success but no result key")}
-	}
 	res, err := r.c.Result(ctx, ev.Key)
 	if err != nil {
 		return &engine.Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
@@ -285,22 +246,18 @@ func (r *Runner) finish(jr engine.JobResult) engine.JobResult {
 }
 
 // Stats reports the work attributable to this runner: the server's
-// counter deltas since the runner first submitted, plus the local
-// fallback's counters when one is configured. A stats fetch failure
-// degrades to the local half alone.
+// counter deltas since the runner first submitted. A stats fetch failure
+// reports zero counters.
 func (r *Runner) Stats() engine.CacheStats {
-	var remote engine.CacheStats
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	// The Once both sets the baseline for a runner that never ran (delta
 	// 0, correctly "no work attributable") and orders this read of
 	// r.baseline after a concurrent Stream's write.
 	r.captureBaseline(ctx)
-	if st, err := r.c.Stats(ctx); err == nil {
-		remote = st.Engine.Delta(r.baseline)
+	st, err := r.c.Stats(ctx)
+	if err != nil {
+		return engine.CacheStats{}
 	}
-	if r.local != nil {
-		return remote.Add(r.local.Stats())
-	}
-	return remote
+	return st.Engine.Delta(r.baseline)
 }

@@ -60,6 +60,12 @@ type Setup = sim.Setup
 // RunOptions sizes a simulation run.
 type RunOptions = sim.RunOptions
 
+// MachineSpec overrides the paper's default machine for a run (link
+// latency, issue-queue size, topology, copy bandwidth, prefetch degree,
+// histograms); set it as RunOptions.Machine. The zero value is the
+// default machine. It is plain data, so jobs carrying one run remotely.
+type MachineSpec = engine.MachineSpec
+
 // Result is one simulation outcome.
 type Result = sim.Result
 
@@ -187,9 +193,9 @@ type OptionsSpec = engine.OptionsSpec
 func JobFromSpec(spec JobSpec) (Job, error) { return sim.JobFromSpec(spec) }
 
 // SpecFromJob converts a runnable Job back to its declarative wire form —
-// the inverse of JobFromSpec. Jobs built around opaque closures or
-// non-suite workloads have no wire form and return an error; such jobs
-// execute locally only.
+// the inverse of JobFromSpec. Hand-built setups and non-suite workloads
+// have no wire form and return an error; such jobs execute on a local
+// Engine only.
 func SpecFromJob(job Job) (JobSpec, error) { return sim.SpecFromJob(job) }
 
 // Runner is the execution seam every consumer submits jobs through: the
@@ -201,20 +207,15 @@ type Runner = engine.Runner
 // NewRemoteRunner connects to the clusterd instance at baseURL
 // ("http://host:8080") and returns a Runner executing jobs there,
 // deduplicated against everything the daemon's content-addressed store
-// has ever computed. local, when non-nil, handles jobs that cannot travel
-// (custom closures, machine tweaks, non-suite workloads); with a nil
-// local such jobs fail. For streaming, backoff and progress options use
-// the clustersim/client package directly.
-func NewRemoteRunner(baseURL string, local Runner) (Runner, error) {
+// has ever computed. Jobs that cannot travel (hand-built setups,
+// non-suite workloads) fail. For streaming, backoff and progress options
+// use the clustersim/client package directly.
+func NewRemoteRunner(baseURL string) (Runner, error) {
 	c, err := client.New(baseURL)
 	if err != nil {
 		return nil, err
 	}
-	var opts []client.RunnerOption
-	if local != nil {
-		opts = append(opts, client.WithFallback(local))
-	}
-	return client.NewRunner(c, opts...), nil
+	return client.NewRunner(c), nil
 }
 
 // NewFleetRunner shards simulation batches across the clusterd workers
@@ -222,18 +223,13 @@ func NewRemoteRunner(baseURL string, local Runner) (Runner, error) {
 // worker's store stays hot for its key range), merges the per-worker
 // streams into one exactly-once result stream, and re-shards the jobs of
 // a worker lost mid-stream onto the survivors. A single URL degrades to
-// the plain single-host remote runner. local, when non-nil, handles jobs
-// that cannot travel. For auth, stealing, progress and health-check
-// options use the clustersim/fleet package directly.
-func NewFleetRunner(urls []string, local Runner) (Runner, error) {
+// the plain single-host remote runner. For auth, stealing, progress and
+// health-check options use the clustersim/fleet package directly.
+func NewFleetRunner(urls []string) (Runner, error) {
 	if len(urls) == 1 {
-		return NewRemoteRunner(urls[0], local)
+		return NewRemoteRunner(urls[0])
 	}
-	var opts []fleet.Option
-	if local != nil {
-		opts = append(opts, fleet.WithFallback(local))
-	}
-	return fleet.New(urls, opts...)
+	return fleet.New(urls)
 }
 
 // RunOn executes one simulation on any Runner with cancellation.

@@ -114,7 +114,7 @@ func TestNewFleetRunnerDegradesToClientRunner(t *testing.T) {
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
 
-	single, err := NewFleetRunner([]string{ts.URL}, nil)
+	single, err := NewFleetRunner([]string{ts.URL})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestNewFleetRunnerDegradesToClientRunner(t *testing.T) {
 
 	// Slash-variants of one worker are canonicalized and rejected as
 	// duplicates rather than joining the ring twice.
-	if _, err := NewFleetRunner([]string{ts.URL, ts.URL + "/"}, nil); err == nil {
+	if _, err := NewFleetRunner([]string{ts.URL, ts.URL + "/"}); err == nil {
 		t.Error("slash-variant duplicate worker accepted")
 	}
 
@@ -132,7 +132,7 @@ func TestNewFleetRunnerDegradesToClientRunner(t *testing.T) {
 	eng2 := engine.New(engine.Options{Parallelism: 1, ResultStore: st2})
 	ts2 := httptest.NewServer(service.New(context.Background(), eng2, st2))
 	defer ts2.Close()
-	multi, err := NewFleetRunner([]string{ts.URL, ts2.URL}, nil)
+	multi, err := NewFleetRunner([]string{ts.URL, ts2.URL})
 	if err != nil {
 		t.Fatal(err)
 	}

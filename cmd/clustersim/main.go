@@ -70,10 +70,8 @@ func main() {
 	fmt.Printf("workload %s, %d clusters, %d micro-ops\n\n", w.Name, *clusters, *uops)
 	var baseCycles int64
 	for i, setup := range setups {
-		opt := clustersim.RunOptions{NumUops: *uops, WarmupUops: *warmup}
-		if *profile {
-			opt.MachineTweak = func(cfg *clustersim.MachineConfig) { cfg.TrackHistograms = true }
-		}
+		opt := clustersim.RunOptions{NumUops: *uops, WarmupUops: *warmup,
+			Machine: clustersim.MachineSpec{Histograms: *profile}}
 		res := clustersim.Run(w, setup, opt)
 		if res.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", setup.Label, res.Err)

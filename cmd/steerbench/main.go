@@ -32,10 +32,13 @@
 //
 // Reports written to stdout/-out are deterministic (timing goes to
 // stderr), so two invocations over the same cache directory produce
-// byte-identical reports. With -remote, simulations execute on a clusterd
-// instance through the client SDK instead of in-process; the report is
+// byte-identical reports. With -remote, every simulation — ablations and
+// the policy survey included — executes on a clusterd instance through
+// the client SDK and no local engine is built; the report is
 // byte-identical to a local run, and the daemon's content-addressed store
 // dedups repeated invocations across every client that ever submitted.
+// -cachedir and -compress configure the local engine's store, so they are
+// usage errors together with -remote.
 // With several comma-separated URLs the batch shards across the fleet by
 // consistent hash of each job's result key, and a worker lost mid-run is
 // survived: its unfinished jobs re-shard onto the remaining workers (the
@@ -118,12 +121,12 @@ func main() {
 		par      = flag.Int("parallel", 0, "concurrent simulations (0 = all cores)")
 		out      = flag.String("out", "", "also write the report to this file")
 		csvDir   = flag.String("csvdir", "", "write per-figure CSV files into this directory")
-		cacheDir = flag.String("cachedir", "", "persist completed results in this directory (reruns skip finished simulations; with -remote it only backs locally executed fallback jobs)")
+		cacheDir = flag.String("cachedir", "", "persist completed results in this directory (reruns skip finished simulations; local runs only, not with -remote)")
 		cacheMax = flag.Int64("cachemax", 0, "bound the -cachedir store to this many bytes (0 = unbounded)")
 		progress = flag.Bool("progress", false, "print live phase/ETA progress and engine cache stats to stderr")
-		remote   = flag.String("remote", "", "execute simulations remotely: one clusterd URL, or a comma-separated list to shard across a fleet; jobs that cannot travel run locally")
+		remote   = flag.String("remote", "", "execute every simulation remotely: one clusterd URL, or a comma-separated list to shard across a fleet")
 		token    = flag.String("token", "", "bearer token for clusterd workers started with -token")
-		compress = flag.Bool("compress", false, "gzip result blobs in the -cachedir store (old uncompressed blobs stay readable)")
+		compress = flag.Bool("compress", false, "gzip result blobs in the -cachedir store (old uncompressed blobs stay readable; not with -remote)")
 		steal    = flag.Int("steal", 0, "with a multi-worker -remote: let idle workers duplicate up to this many straggler jobs per batch (first result wins)")
 		coordURL = flag.String("coordinator", "", "with a multi-worker -remote: share one membership view with other runners through this clusterd -coordinator URL")
 		readmit  = flag.Duration("readmit", 0, "with a multi-worker -remote: re-probe dead workers at this interval and re-admit the ones that recovered (0 = leave dead workers dead)")
@@ -199,32 +202,6 @@ func main() {
 		tracer = obs.NewTracer(16384)
 	}
 
-	engOpts := clustersim.EngineOptions{Parallelism: *par, Tracer: tracer}
-	if *cacheDir != "" {
-		open := clustersim.OpenDiskStore
-		if *compress {
-			open = clustersim.OpenCompressedDiskStore
-		}
-		st, err := open(*cacheDir, *cacheMax)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		engOpts.ResultStore = st
-	}
-	meter := newProgressMeter()
-	if *progress && *remote == "" {
-		engOpts.Progress = meter.print
-	}
-	eng := clustersim.NewEngine(engOpts)
-
-	// The runner is the execution seam: the local engine by default, a
-	// clusterd client when -remote is one URL, a sharded fleet runner when
-	// it is a comma-separated list (with the local engine as the fallback
-	// for jobs that have no declarative wire form, e.g. the machine-tweak
-	// ablations). Everything downstream is runner-agnostic.
-	var runner clustersim.Runner = eng
-	var fl *fleet.Runner // non-nil when sharding, for the fleet footer
 	urls := splitURLs(*remote)
 	if *remote != "" && len(urls) == 0 {
 		// "-remote ," (e.g. from unset env vars) must not silently run the
@@ -232,7 +209,38 @@ func main() {
 		fmt.Fprintf(os.Stderr, "steerbench: -remote %q contains no URLs\n", *remote)
 		os.Exit(1)
 	}
-	if len(urls) == 1 {
+	if len(urls) > 0 && (*cacheDir != "" || *compress) {
+		fmt.Fprintln(os.Stderr, "steerbench: -cachedir and -compress configure the local engine's store; with -remote the workers' stores cache results")
+		os.Exit(2)
+	}
+
+	// The runner is the execution seam: a local engine by default, a
+	// clusterd client when -remote is one URL, a sharded fleet runner when
+	// it is a comma-separated list. Every job has a declarative wire form,
+	// so everything downstream is runner-agnostic.
+	meter := newProgressMeter()
+	var runner clustersim.Runner
+	var fl *fleet.Runner // non-nil when sharding, for the fleet footer
+	switch {
+	case len(urls) == 0:
+		engOpts := clustersim.EngineOptions{Parallelism: *par, Tracer: tracer}
+		if *cacheDir != "" {
+			open := clustersim.OpenDiskStore
+			if *compress {
+				open = clustersim.OpenCompressedDiskStore
+			}
+			st, err := open(*cacheDir, *cacheMax)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			engOpts.ResultStore = st
+		}
+		if *progress {
+			engOpts.Progress = meter.print
+		}
+		runner = clustersim.NewEngine(engOpts)
+	case len(urls) == 1:
 		var copts []client.Option
 		if *token != "" {
 			copts = append(copts, client.WithToken(*token))
@@ -253,7 +261,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "steerbench: clusterd at %s refused: %v\n", urls[0], err)
 			os.Exit(1)
 		}
-		ropts := []client.RunnerOption{client.WithFallback(eng)}
+		var ropts []client.RunnerOption
 		if *progress {
 			ropts = append(ropts, client.WithProgress(meter.print))
 		}
@@ -261,9 +269,8 @@ func main() {
 			ropts = append(ropts, client.WithRunnerTracer(tracer))
 		}
 		runner = client.NewRunner(c, ropts...)
-	} else if len(urls) > 1 {
+	default:
 		fopts := []fleet.Option{
-			fleet.WithFallback(eng),
 			fleet.WithLog(func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}),

@@ -66,7 +66,7 @@ func main() {
 	// --- Layer 2: the Runner seam. ------------------------------------
 	// The exact code that runs a comparison matrix locally, pointed at
 	// the fleet: only the runner changes.
-	runner, err := clustersim.NewRemoteRunner(*addr, nil)
+	runner, err := clustersim.NewRemoteRunner(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}

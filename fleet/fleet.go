@@ -68,7 +68,6 @@ type member struct {
 
 // config collects construction options.
 type config struct {
-	fallback      engine.Runner
 	progress      func(done, total int, label string)
 	logf          func(format string, args ...any)
 	token         string
@@ -85,14 +84,6 @@ type config struct {
 
 // Option configures a fleet Runner.
 type Option func(*config)
-
-// WithFallback routes jobs that cannot travel (no declarative spec:
-// custom programs, opaque passes, machine-tweak ablations) to a local
-// runner instead of failing them — the same hybrid split client.Runner
-// offers.
-func WithFallback(local engine.Runner) Option {
-	return func(c *config) { c.fallback = local }
-}
 
 // WithProgress mirrors engine.Options.Progress: fn is called after every
 // finished job with the runner-lifetime completed and submitted counts.
@@ -200,7 +191,6 @@ type Runner struct {
 	mship       *controlplane.Membership
 	coordinator *controlplane.Coordinator
 
-	fallback engine.Runner
 	progress func(done, total int, label string)
 	logf     func(format string, args ...any)
 	steal    int
@@ -310,7 +300,6 @@ func New(urls []string, opts ...Option) (*Runner, error) {
 		pl:         placement{members: members, ring: newRing(canon)},
 		byURL:      byURL,
 		mship:      controlplane.NewMembership(canon...),
-		fallback:   cfg.fallback,
 		progress:   cfg.progress,
 		logf:       cfg.logf,
 		steal:      cfg.steal,
@@ -389,9 +378,8 @@ func (f *Runner) Run(ctx context.Context, job engine.Job) *engine.Result {
 }
 
 // Stats aggregates the work attributable to this runner: the sum of
-// every routable member runner's server-counter deltas, plus the
-// fallback's counters when one is configured. Dead and removed members
-// are skipped — their counters are unreachable, so work a member
+// every routable member runner's server-counter deltas. Dead and removed
+// members are skipped — their counters are unreachable, so work a member
 // completed and delivered before it was lost drops out of the aggregate
 // (its *unfinished* jobs re-ran on survivors and are counted there).
 // After a mid-run worker loss the totals therefore undercount rather
@@ -417,13 +405,10 @@ func (f *Runner) Stats() engine.CacheStats {
 	for _, p := range parts {
 		total = total.Add(p)
 	}
-	if f.fallback != nil {
-		total = total.Add(f.fallback.Stats())
-	}
 	return total
 }
 
-// task is one remoteable job in flight: its index in the submitted batch
+// task is one job in flight: its index in the submitted batch
 // and the result content key it shards by. err carries the last
 // worker-loss failure observed, attempts how many times the task has
 // failed that way (bounding its retries).
@@ -435,12 +420,12 @@ type task struct {
 }
 
 // Stream submits the jobs and returns a channel yielding each result
-// exactly once as it completes. Remoteable jobs shard across the fleet;
-// the rest go to the fallback concurrently. The channel is buffered to
-// hold every result and closed once all jobs finish. When a coordinator
-// is configured the membership view is re-synced first, so a runner
-// never submits a batch against an epoch another runner has already
-// moved past.
+// exactly once as it completes. Jobs with a wire form shard across the
+// fleet; the rest fail with the conversion error. The channel is
+// buffered to hold every result and closed once all jobs finish. When a
+// coordinator is configured the membership view is re-synced first, so
+// a runner never submits a batch against an epoch another runner has
+// already moved past.
 func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.JobResult {
 	out := make(chan engine.JobResult, len(jobs))
 	f.submitted.Add(int64(len(jobs)))
@@ -449,51 +434,19 @@ func (f *Runner) Stream(ctx context.Context, jobs []engine.Job) <-chan engine.Jo
 		f.syncMembership(ctx)
 
 		var tasks []task
-		var localJobs []engine.Job
-		var localIdx []int
 		for i, job := range jobs {
 			if _, err := sim.SpecFromJob(job); err != nil {
-				if f.fallback != nil {
-					localJobs = append(localJobs, jobs[i])
-					localIdx = append(localIdx, i)
-				} else {
-					out <- f.finish(engine.JobResult{Index: i, Job: jobs[i], Result: &engine.Result{
-						Simpoint: jobs[i].Simpoint, Setup: jobs[i].Setup.Label,
-						Err: fmt.Errorf("fleet: job not remoteable and no local fallback: %w", err),
-					}})
-				}
+				out <- f.finish(engine.JobResult{Index: i, Job: job, Result: &engine.Result{
+					Simpoint: job.Simpoint, Setup: job.Setup.Label,
+					Err: fmt.Errorf("fleet: job not remoteable: %w", err),
+				}})
 				continue
 			}
-			key, ok := f.keyer.ResultKey(job)
-			if !ok {
-				// Unreachable: every remoteable job has a content key
-				// (SpecFromJob rejects the uncacheable shapes). Shard by
-				// identity so a future divergence degrades instead of dying.
-				key = job.Simpoint.Name + "|" + job.Setup.Label
-			}
-			tasks = append(tasks, task{idx: i, key: key})
-		}
-
-		var wg sync.WaitGroup
-		if len(localJobs) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for jr := range f.fallback.Stream(ctx, localJobs) {
-					out <- f.finish(engine.JobResult{
-						Index: localIdx[jr.Index], Job: jr.Job, Result: jr.Result,
-					})
-				}
-			}()
+			tasks = append(tasks, task{idx: i, key: f.keyer.ResultKey(job)})
 		}
 		if len(tasks) > 0 {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				f.runSharded(ctx, jobs, tasks, out)
-			}()
+			f.runSharded(ctx, jobs, tasks, out)
 		}
-		wg.Wait()
 	}()
 	return out
 }

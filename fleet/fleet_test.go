@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
@@ -15,7 +16,6 @@ import (
 	"clustersim/client"
 	"clustersim/fleet"
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/service"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
@@ -32,6 +32,9 @@ type worker struct {
 	dead        atomic.Bool  // every request aborts at the transport level
 	sick        atomic.Bool  // like dead, but liveness probes still answer
 	killOnIndex atomic.Int64 // arm: die right after the Nth submit (1-based)
+	// killFirst, shared between workers, arms whichever of them accepts
+	// a submit first: it dies right after, and disarms the others.
+	killFirst   atomic.Pointer[atomic.Bool]
 	submits     atomic.Int64
 	streamDelay time.Duration // slows SSE delivery: a straggler worker
 }
@@ -50,7 +53,11 @@ func (w *worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	}
 	isSubmit := r.Method == http.MethodPost && r.URL.Path == "/v1/jobs"
 	w.svc.ServeHTTP(rw, r)
-	if isSubmit && w.submits.Add(1) == w.killOnIndex.Load() {
+	if !isSubmit {
+		return
+	}
+	armed := w.killFirst.Load()
+	if w.submits.Add(1) == w.killOnIndex.Load() || (armed != nil && armed.CompareAndSwap(true, false)) {
 		// The submission was accepted and its jobs are running; every
 		// request from here on — the SSE stream, result fetches — hits
 		// the dead check above. This is "worker lost mid-stream".
@@ -205,9 +212,14 @@ func TestFleetKillWorkerMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Arm worker 2: it accepts the fleet's shard submission, then its
-	// transport dies — jobs in flight, none of their results fetchable.
-	w2.killOnIndex.Store(1)
+	// Arm whichever worker accepts a shard submission first: its
+	// transport dies right after — jobs in flight, none of their results
+	// fetchable. Arming the first rather than a fixed worker keeps the
+	// test independent of where the ring places the jobs.
+	var armed atomic.Bool
+	armed.Store(true)
+	w1.killFirst.Store(&armed)
+	w2.killFirst.Store(&armed)
 
 	_, _, jobs := suiteJobs(t, 8)
 	got := collect(t, f.Stream(ctx, jobs), len(jobs))
@@ -216,12 +228,20 @@ func TestFleetKillWorkerMidStream(t *testing.T) {
 			t.Errorf("job %d failed despite failover: %v", idx, jr.Result.Err)
 		}
 	}
+	if w1.dead.Load() == w2.dead.Load() {
+		t.Fatalf("want exactly one dead worker: w1 dead %v, w2 dead %v", w1.dead.Load(), w2.dead.Load())
+	}
+	survivor := w1
+	if w1.dead.Load() {
+		survivor = w2
+	}
 
-	// Every lost job re-ran exactly once, on the survivor: with worker
-	// 2's results unreachable, worker 1 must have executed the whole
-	// unique-job set (its engine dedups, so re-runs can't double-count).
-	if s1 := w1.eng.Stats().Simulations; int(s1) != len(jobs) {
-		t.Errorf("survivor executed %d simulations, want %d", s1, len(jobs))
+	// Every lost job re-ran exactly once, on the survivor: with the dead
+	// worker's results unreachable, the survivor must have executed the
+	// whole unique-job set (its engine dedups, so re-runs can't
+	// double-count).
+	if s := survivor.eng.Stats().Simulations; int(s) != len(jobs) {
+		t.Errorf("survivor executed %d simulations, want %d", s, len(jobs))
 	}
 	if f.Alive() != 1 {
 		t.Errorf("fleet reports %d workers alive, want 1", f.Alive())
@@ -321,45 +341,44 @@ func TestFleetAllWorkersLost(t *testing.T) {
 	}
 }
 
-// Jobs with no declarative wire form run on the fallback; without one
-// they fail loudly. Deterministic job failures are never retried as
-// worker loss.
-func TestFleetFallback(t *testing.T) {
+// A job on a MachineSpec shards to a worker like any other job and
+// returns the local engine's result; a job with no wire form fails
+// loudly. Deterministic job failures are never retried as worker loss.
+func TestFleetShipsMachineSpec(t *testing.T) {
 	w1, w2 := startWorker(t), startWorker(t)
 	ctx := context.Background()
 	sp := workload.ByName("gzip-1")
 	tweaked := engine.Job{
 		Simpoint: sp,
 		Setup:    sim.SetupOP(2),
-		Opts: engine.RunOptions{NumUops: 2000, TweakKey: "lat9",
-			MachineTweak: func(cfg *pipeline.Config) { cfg.Net.Latency = 9 }},
+		Opts:     engine.RunOptions{NumUops: 2000, Machine: engine.MachineSpec{LinkLatency: 9}},
 	}
 
-	bare, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
+	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := bare.Run(ctx, tweaked); res.Err == nil {
-		t.Fatal("non-remoteable job succeeded without a fallback")
+	res := f.Run(ctx, tweaked)
+	if res.Err != nil {
+		t.Fatalf("machine-spec job: %v", res.Err)
+	}
+	if w1.eng.Stats().Simulations+w2.eng.Stats().Simulations != 1 {
+		t.Error("machine-spec job did not run on exactly one worker")
+	}
+	got, _ := engine.EncodeResult(res)
+	ref, _ := engine.EncodeResult(engine.Execute(ctx, tweaked))
+	if !bytes.Equal(got, ref) {
+		t.Error("fleet machine-spec result differs from the local engine's")
 	}
 
-	local := engine.New(engine.Options{Parallelism: 1})
-	hybrid, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(), fleet.WithFallback(local))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := hybrid.Run(ctx, tweaked); res.Err != nil {
-		t.Fatalf("fallback run: %v", res.Err)
-	}
-	if local.Stats().Simulations != 1 {
-		t.Error("tweaked job did not run on the fallback engine")
-	}
-	if w1.eng.Stats().Simulations+w2.eng.Stats().Simulations != 0 {
-		t.Error("tweaked job leaked to the fleet")
+	custom := engine.Job{Simpoint: &workload.Simpoint{Name: "homegrown", Program: sp.Program, Weight: 1},
+		Setup: sim.SetupOP(2), Opts: engine.RunOptions{NumUops: 2000}}
+	if res := f.Run(ctx, custom); res.Err == nil {
+		t.Fatal("a non-suite workload succeeded on the fleet")
 	}
 	// Both workers stay alive: a job-level refusal is not worker loss.
-	if hybrid.Alive() != 2 {
-		t.Errorf("fleet reports %d alive after a local-only job, want 2", hybrid.Alive())
+	if f.Alive() != 2 {
+		t.Errorf("fleet reports %d alive after a refused job, want 2", f.Alive())
 	}
 }
 

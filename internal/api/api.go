@@ -54,7 +54,14 @@ const (
 	// server would reject the priority field as bad_request and
 	// silently ignore the deadline header; the bump makes both
 	// mismatches detectable.
-	Version = 5
+	//
+	// v6: machine overrides. A job spec's opts gained machine (link
+	// latency, issue-queue size, topology, copy bandwidth, prefetch
+	// degree, histograms), and result keys now hash the resolved machine
+	// config and carry the model version. A v5 server would reject the
+	// machine field as bad_request; the bump makes the mismatch
+	// detectable.
+	Version = 6
 	// VersionHeader is the HTTP response header carrying Version.
 	VersionHeader = "Clustersim-Api-Version"
 	// TraceHeader optionally carries a caller-chosen trace-ID base on
@@ -140,7 +147,7 @@ type SubmitRequest struct {
 type SubmitResponse struct {
 	ID string `json:"id"`
 	// Keys holds each job's result content key, index-aligned with the
-	// submitted batch ("" for uncacheable jobs).
+	// submitted batch.
 	Keys []string `json:"keys"`
 	// Total is the number of jobs accepted.
 	Total int `json:"total"`
@@ -158,8 +165,7 @@ type JobEvent struct {
 	// Simpoint and Setup identify the run.
 	Simpoint string `json:"simpoint"`
 	Setup    string `json:"setup"`
-	// Key is the result's content address in the store ("" when the job
-	// is uncacheable).
+	// Key is the result's content address in the store.
 	Key string `json:"key,omitempty"`
 	// Error is non-empty for failed or canceled runs.
 	Error string `json:"error,omitempty"`

@@ -1,10 +1,11 @@
-// Result and job serialization: the stable byte codec behind the
-// persistent result store (internal/store) and the clusterd wire format.
-// Every blob starts with a three-byte header — magic, schema version,
-// payload kind — so a stale cache directory or a truncated file is
-// rejected cleanly instead of being misread, followed by a gob stream.
-// Gob encoding of the fixed wire structs is deterministic, so re-encoding
-// a decoded blob reproduces it byte for byte (property-tested).
+// Result serialization and the job wire types. Results travel as a stable
+// byte codec, behind the persistent result store (internal/store) and the
+// clusterd result fetch: every blob starts with a three-byte header —
+// magic, schema version, payload kind — so a stale cache directory or a
+// truncated file is rejected cleanly instead of being misread, followed
+// by a gob stream. Gob encoding of the fixed wire structs is
+// deterministic, so re-encoding a decoded blob reproduces it byte for
+// byte (property-tested). Jobs travel as JSON JobSpecs.
 package engine
 
 import (
@@ -19,21 +20,11 @@ import (
 	"clustersim/internal/workload"
 )
 
-// encodeBufs pools the staging buffers behind EncodeResult/EncodeJobSpec:
-// a serving tier persisting many results concurrently would otherwise pay
-// a fresh growing buffer per encode. The encoded bytes are copied out to
-// an exact-size slice before the buffer returns to the pool, so callers
-// still own immutable blobs.
+// encodeBufs pools the staging buffers behind EncodeResult: a serving
+// tier persisting many results concurrently would otherwise pay a fresh
+// growing buffer per encode. The encoded bytes are copied out before the
+// buffer returns to the pool, so callers still own immutable blobs.
 var encodeBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// sealBuf copies a pooled buffer's contents into an exact-size blob and
-// recycles the buffer.
-func sealBuf(b *bytes.Buffer) []byte {
-	out := make([]byte, b.Len())
-	copy(out, b.Bytes())
-	encodeBufs.Put(b)
-	return out
-}
 
 const (
 	// codecMagic brands every engine blob.
@@ -44,7 +35,7 @@ const (
 	// and their store keys don't even collide.
 	CodecVersion = 1
 
-	kindJob    = 1
+	// kindResult is the payload kind of a result blob.
 	kindResult = 2
 )
 
@@ -73,11 +64,8 @@ type wireResult struct {
 	Complexity steer.Complexity
 }
 
-// header frames a payload kind.
-func header(kind byte) []byte { return []byte{codecMagic, CodecVersion, kind} }
-
-// checkHeader validates a blob's frame and returns the gob payload.
-func checkHeader(blob []byte, kind byte) ([]byte, error) {
+// checkHeader validates a result blob's frame and returns the gob payload.
+func checkHeader(blob []byte) ([]byte, error) {
 	if len(blob) < 3 {
 		return nil, fmt.Errorf("%w: %d-byte blob", ErrCodec, len(blob))
 	}
@@ -87,8 +75,8 @@ func checkHeader(blob []byte, kind byte) ([]byte, error) {
 	if blob[1] != CodecVersion {
 		return nil, fmt.Errorf("%w: got version %d, want %d", ErrCodecVersion, blob[1], CodecVersion)
 	}
-	if blob[2] != kind {
-		return nil, fmt.Errorf("%w: payload kind %d, want %d", ErrCodec, blob[2], kind)
+	if blob[2] != kindResult {
+		return nil, fmt.Errorf("%w: payload kind %d, want %d", ErrCodec, blob[2], kindResult)
 	}
 	return blob[3:], nil
 }
@@ -104,7 +92,7 @@ func EncodeResult(res *Result) ([]byte, error) {
 	}
 	b := encodeBufs.Get().(*bytes.Buffer)
 	b.Reset()
-	b.Write(header(kindResult))
+	b.Write([]byte{codecMagic, CodecVersion, kindResult})
 	err := gob.NewEncoder(b).Encode(wireResult{
 		Simpoint: wireSimpoint{
 			Name: res.Simpoint.Name, Bench: res.Simpoint.Bench,
@@ -114,11 +102,11 @@ func EncodeResult(res *Result) ([]byte, error) {
 		Metrics:    res.Metrics,
 		Complexity: res.Complexity,
 	})
+	defer encodeBufs.Put(b)
 	if err != nil {
-		encodeBufs.Put(b)
 		return nil, fmt.Errorf("engine: encoding result: %w", err)
 	}
-	return sealBuf(b), nil
+	return bytes.Clone(b.Bytes()), nil
 }
 
 // DecodeResult deserializes a result blob. The returned result's Simpoint
@@ -126,7 +114,7 @@ func EncodeResult(res *Result) ([]byte, error) {
 // nil, since the blob is addressed by program content already; the engine
 // replaces it with the submitting job's simpoint before results surface.
 func DecodeResult(blob []byte) (*Result, error) {
-	payload, err := checkHeader(blob, kindResult)
+	payload, err := checkHeader(blob)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +136,11 @@ func DecodeResult(blob []byte) (*Result, error) {
 	}, nil
 }
 
-// JobSpec is the declarative, serializable form of a Job: the wire format
-// clusterd accepts and the shape a future remote-worker protocol ships.
-// Setup closures (compiler passes, policy constructors) cannot cross a
-// process boundary, so a spec names a suite simpoint and a setup kind;
-// sim.JobFromSpec resolves it back to a runnable Job.
+// JobSpec is the declarative, serializable form of a Job: the JSON wire
+// format clusterd accepts. Setup closures (compiler passes, policy
+// constructors) cannot cross a process boundary, so a spec names a suite
+// simpoint and a setup kind; sim.JobFromSpec resolves it back to a
+// runnable Job.
 type JobSpec struct {
 	// Simpoint is the suite point name ("gzip-1", "mcf").
 	Simpoint string `json:"simpoint"`
@@ -165,7 +153,8 @@ type JobSpec struct {
 // SetupSpec names a steering configuration declaratively.
 type SetupSpec struct {
 	// Kind is one of "OP", "OP-nostall", "one-cluster", "OB", "RHOP",
-	// "VC", "VC-comm".
+	// "VC", "VC-comm", or a hardware heuristic of the policy survey:
+	// "ADV", "LC", "SLC", "MOD".
 	Kind string `json:"kind"`
 	// NumClusters is the physical cluster count; zero means 2.
 	NumClusters int `json:"clusters,omitempty"`
@@ -178,39 +167,20 @@ type SetupSpec struct {
 	MaxChainLen int `json:"max_chain_len,omitempty"`
 }
 
-// OptionsSpec is the serializable subset of RunOptions (machine-tweak
-// closures cannot travel).
+// OptionsSpec is the serializable form of RunOptions.
 type OptionsSpec struct {
 	NumUops    int `json:"num_uops,omitempty"`
 	WarmupUops int `json:"warmup_uops,omitempty"`
+	// Machine overrides the default machine; nil (no "machine" key) runs
+	// the default machine.
+	Machine *MachineSpec `json:"machine,omitempty"`
 }
 
 // RunOptions converts the spec into engine options.
 func (o OptionsSpec) RunOptions() RunOptions {
-	return RunOptions{NumUops: o.NumUops, WarmupUops: o.WarmupUops}
-}
-
-// EncodeJobSpec serializes a job spec with the codec header.
-func EncodeJobSpec(spec JobSpec) ([]byte, error) {
-	b := encodeBufs.Get().(*bytes.Buffer)
-	b.Reset()
-	b.Write(header(kindJob))
-	if err := gob.NewEncoder(b).Encode(spec); err != nil {
-		encodeBufs.Put(b)
-		return nil, fmt.Errorf("engine: encoding job spec: %w", err)
+	opts := RunOptions{NumUops: o.NumUops, WarmupUops: o.WarmupUops}
+	if o.Machine != nil {
+		opts.Machine = *o.Machine
 	}
-	return sealBuf(b), nil
-}
-
-// DecodeJobSpec deserializes a job spec blob.
-func DecodeJobSpec(blob []byte) (JobSpec, error) {
-	var spec JobSpec
-	payload, err := checkHeader(blob, kindJob)
-	if err != nil {
-		return spec, err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&spec); err != nil {
-		return JobSpec{}, fmt.Errorf("%w: %v", ErrCodec, err)
-	}
-	return spec, nil
+	return opts
 }

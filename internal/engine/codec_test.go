@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -113,15 +114,10 @@ func TestResultCodecRejectsMangledBlobs(t *testing.T) {
 		t.Errorf("version mismatch: err = %v, want ErrCodecVersion", err)
 	}
 
-	jobBlob, err := engine.EncodeJobSpec(engine.JobSpec{Simpoint: "mcf", Setup: engine.SetupSpec{Kind: "OP"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := engine.DecodeResult(jobBlob); err == nil {
-		t.Error("a job blob decoded as a result")
-	}
-	if _, err := engine.DecodeJobSpec(blob); err == nil {
-		t.Error("a result blob decoded as a job spec")
+	kind := append([]byte(nil), blob...)
+	kind[2]++ // another payload kind
+	if _, err := engine.DecodeResult(kind); err == nil {
+		t.Error("a blob of another payload kind decoded as a result")
 	}
 }
 
@@ -170,42 +166,50 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
-// Job specs round-trip losslessly and re-encode byte-identically for
-// arbitrary field values.
+// Job specs round-trip losslessly through their JSON wire form for
+// arbitrary field values — a prefetch degree of 0 included, which must
+// stay distinct from an absent override — and re-encode byte-identically.
 func FuzzJobSpecCodec(f *testing.F) {
-	f.Add("gzip-1", "VC", 2, 4, 0, 8, 20000, 1000)
-	f.Add("", "", -1, 0, 99, -5, 0, 0)
-	f.Fuzz(func(t *testing.T, sp, kind string, clusters, numVC, region, chain, uops, warmup int) {
+	f.Add("gzip-1", "VC", 2, 4, 0, 8, 20000, 1000, 0, 0, "", 0, 0, false, false)
+	f.Add("", "", -1, 0, 99, -5, 0, 0, 9, -4, "ring", 3, -1, true, true)
+	f.Fuzz(func(t *testing.T, sp, kind string, clusters, numVC, region, chain, uops, warmup,
+		latency, iq int, topology string, copyBW, prefetch int, hasPrefetch, histograms bool) {
 		spec := engine.JobSpec{
 			Simpoint: sp,
 			Setup: engine.SetupSpec{
 				Kind: kind, NumClusters: clusters, NumVC: numVC,
 				RegionMaxOps: region, MaxChainLen: chain,
 			},
-			Opts: engine.OptionsSpec{NumUops: uops, WarmupUops: warmup},
 		}
-		blob, err := engine.EncodeJobSpec(spec)
+		m := engine.MachineSpec{LinkLatency: latency, IQSize: iq, Topology: topology,
+			CopyBandwidth: copyBW, Histograms: histograms}
+		if hasPrefetch {
+			m.PrefetchDegree = &prefetch
+		}
+		spec.Opts = engine.OptionsSpec{NumUops: uops, WarmupUops: warmup}
+		if m != (engine.MachineSpec{}) {
+			spec.Opts.Machine = &m
+		}
+		blob, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := engine.DecodeJobSpec(blob)
-		if err != nil {
+		var dec engine.JobSpec
+		if err := json.Unmarshal(blob, &dec); err != nil {
 			t.Fatal(err)
 		}
-		if dec != spec {
+		if !reflect.DeepEqual(dec, spec) {
 			t.Fatalf("round trip changed the spec: %+v != %+v", dec, spec)
 		}
-		again, err := engine.EncodeJobSpec(dec)
+		if got := dec.Opts.RunOptions().Machine; !reflect.DeepEqual(got, m) {
+			t.Fatalf("round trip changed the machine: %+v != %+v", got, m)
+		}
+		again, err := json.Marshal(dec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(blob, again) {
 			t.Error("job spec re-encoding not byte-identical")
-		}
-		for cut := 0; cut < len(blob); cut++ {
-			if _, err := engine.DecodeJobSpec(blob[:cut]); err == nil {
-				t.Fatalf("truncated job spec (%d/%d bytes) decoded", cut, len(blob))
-			}
 		}
 	})
 }

@@ -2,12 +2,13 @@
 // sim.RunOne/RunMatrix, the experiment harness and cmd/steerbench — submits
 // jobs to. It owns a cancellable worker pool with progress reporting, and
 // two content-keyed caches: annotated program clones (keyed by simpoint +
-// compiler-pass signature) and whole Results (keyed by simpoint +
-// configuration + run options). One engine shared across experiments
-// therefore simulates each unique (simpoint, setup, options) combination
-// exactly once per process, and re-annotates nothing. Each simulation
-// expands its own dynamic trace from the annotated program: expansion is
-// deterministic and cheaper than any cached form of the trace.
+// compiler-pass signature) and whole Results (keyed by simpoint + setup +
+// run length + a hash of the resolved machine config). One engine shared
+// across experiments therefore simulates each unique (simpoint, setup,
+// machine, options) combination exactly once per process, and
+// re-annotates nothing. Each simulation expands its own dynamic trace
+// from the annotated program: expansion is deterministic and cheaper than
+// any cached form of the trace.
 //
 // All cached artifacts are immutable after publication: compiler passes
 // annotate a private clone before it enters the cache, and the pipeline
@@ -36,7 +37,8 @@ import (
 // and cache its output. Unlike an opaque closure, the declarative form
 // gives the engine a content key, and lets it derive the pass options from
 // the machine configuration actually being run (issue widths, link
-// latency), so 4-cluster and MachineTweak-ed runs see consistent options.
+// latency), so 4-cluster runs and runs on a MachineSpec see consistent
+// options. A custom pass is a Pass with its own Kind.
 type Pass struct {
 	// Kind identifies the algorithm in cache keys ("OB", "RHOP", "VC").
 	// Two passes with equal Kind and equal options must produce identical
@@ -92,10 +94,6 @@ type Setup struct {
 	// all populate it. Setups hand-built around custom closures leave it
 	// nil and stay local-only. Spec never participates in cache keys.
 	Spec *SetupSpec
-	// Annotate optionally runs an opaque compiler pass over the (cloned)
-	// program. It exists for custom user passes; because the engine cannot
-	// key its output, setups using it bypass every cache.
-	Annotate func(*prog.Program)
 	// NewPolicy builds a fresh runtime policy instance per run.
 	NewPolicy func() steer.Policy
 }
@@ -107,11 +105,9 @@ type RunOptions struct {
 	// WarmupUops excludes the first N committed micro-ops from the
 	// metrics (cache/predictor warmup).
 	WarmupUops int
-	// MachineTweak optionally mutates the machine config (ablations).
-	MachineTweak func(*pipeline.Config)
-	// TweakKey uniquely identifies MachineTweak's effect for caching.
-	// Runs with a MachineTweak but no TweakKey are never result-cached.
-	TweakKey string
+	// Machine overrides the paper's default machine (ablations); the zero
+	// value runs the default machine.
+	Machine MachineSpec
 }
 
 func (o RunOptions) withDefaults() RunOptions {
@@ -196,6 +192,10 @@ type Engine struct {
 	// artifact caches.
 	fps sync.Map
 
+	// cfgHashes memoizes configHash per resolved config.
+	cfgMu     sync.Mutex
+	cfgHashes map[pipeline.Config]string
+
 	// cores pools idle pipeline cores keyed by their config Shape, bounded
 	// per shape at Parallelism (more can never be in use at once). A sweep
 	// of same-shaped jobs reuses a handful of cores via Reset instead of
@@ -246,11 +246,12 @@ func New(opts Options) *Engine {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return &Engine{
-		opts:    opts,
-		sched:   newScheduler(opts.Parallelism),
-		progs:   newFlightCache[*prog.Program](),
-		results: newFlightCache[*Result](),
-		cores:   make(map[pipeline.Config][]*pipeline.Core),
+		opts:      opts,
+		sched:     newScheduler(opts.Parallelism),
+		progs:     newFlightCache[*prog.Program](),
+		results:   newFlightCache[*Result](),
+		cores:     make(map[pipeline.Config][]*pipeline.Core),
+		cfgHashes: make(map[pipeline.Config]string),
 	}
 }
 
@@ -356,45 +357,35 @@ func (e *Engine) fingerprint(sp *workload.Simpoint) string {
 	return fmt.Sprintf("%s|s%d|h%016x", sp.Name, sp.Seed, h.(uint64))
 }
 
-// resultKey returns the whole-result cache key, and whether the job is
-// cacheable at all: opaque Annotate closures and un-keyed MachineTweaks
-// have no content signature, so such jobs always execute.
-func (e *Engine) resultKey(job Job) (string, bool) {
-	if job.Setup.Annotate != nil {
-		return "", false
-	}
-	if job.Opts.MachineTweak != nil && job.Opts.TweakKey == "" {
-		return "", false
-	}
-	// The pass's static signature is folded in so label collisions between
-	// setups with different compiler passes cannot alias; its machine-
-	// derived options are covered by the TweakKey requirement above.
+// resultKey returns the whole-result cache key. The hash of the resolved
+// config covers the machine that actually runs (and the pass options
+// derived from it): editing DefaultConfig changes every key, and a
+// MachineSpec equal to the default shares the untweaked results. The
+// pass's static signature keeps setups with colliding labels apart.
+func (e *Engine) resultKey(job Job) string {
 	pass := ""
 	if ps := job.Setup.Pass; ps != nil {
 		pass = fmt.Sprintf("%s/%d/%d/%d", ps.Kind, ps.NumTargets, ps.RegionMaxOps, ps.MaxChainLen)
 	}
-	return fmt.Sprintf("%s|%s|p%s|c%d|u%d|w%d|t%s",
+	return fmt.Sprintf("%s|%s|p%s|c%d|u%d|cfg%s",
 		e.fingerprint(job.Simpoint), job.Setup.Label, pass, job.Setup.NumClusters,
-		job.Opts.NumUops, job.Opts.WarmupUops, job.Opts.TweakKey), true
+		job.Opts.NumUops, e.configHash(job.config()))
 }
 
 // storeKey namespaces a result-cache key for a persistent store: the
-// codec schema version is folded in so that blobs written by an older
-// codec never even key-collide with the current one.
+// codec schema version and the model version are folded in so that blobs
+// written by an older codec or simulated by an older timing model never
+// even key-collide with the current ones.
 func storeKey(key string) string {
-	return fmt.Sprintf("result|v%d|%s", CodecVersion, key)
+	return fmt.Sprintf("result|v%d|model%d|%s", CodecVersion, ModelVersion, key)
 }
 
 // ResultKey returns the persistent-store key a job's result is (or would
-// be) stored under, and whether the job is cacheable at all. Services use
-// it to hand clients a fetch address at submission time.
-func (e *Engine) ResultKey(job Job) (string, bool) {
+// be) stored under. Services use it to hand clients a fetch address at
+// submission time.
+func (e *Engine) ResultKey(job Job) string {
 	job.Opts = job.Opts.withDefaults()
-	key, ok := e.resultKey(job)
-	if !ok {
-		return "", false
-	}
-	return storeKey(key), true
+	return storeKey(e.resultKey(job))
 }
 
 // storedResult serves a result-cache miss from the persistent store, if
@@ -466,10 +457,13 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	if err := ctx.Err(); err != nil {
 		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: e.shed(err)}
 	}
-	key, cacheable := e.resultKey(job)
-	if !cacheable || e.opts.DisableCache {
+	if err := job.Opts.Machine.Validate(); err != nil {
+		return &Result{Simpoint: job.Simpoint, Setup: job.Setup.Label, Err: err}
+	}
+	if e.opts.DisableCache {
 		return e.execute(ctx, job, fl)
 	}
+	key := e.resultKey(job)
 	for {
 		// The compute closure runs on exactly one caller's goroutine, so
 		// the spans it records (store_get / execute / encode / store_put)
@@ -541,11 +535,7 @@ func (e *Engine) execute(ctx context.Context, job Job, fl *obs.Flight) *Result {
 	}
 	sp, s, opt := job.Simpoint, job.Setup, job.Opts
 
-	cfg := pipeline.DefaultConfig(s.NumClusters)
-	cfg.WarmupUops = int64(opt.WarmupUops)
-	if opt.MachineTweak != nil {
-		opt.MachineTweak(&cfg)
-	}
+	cfg := job.config()
 	t0 = fl.Begin()
 	p := e.annotated(sp, s, &cfg)
 	fl.Span("annotate", t0)
@@ -625,15 +615,8 @@ func (e *Engine) releaseCore(core *pipeline.Core) {
 }
 
 // annotated returns the annotated program clone for the job, cached by
-// (simpoint, pass signature). Opaque Annotate passes have no signature, so
-// their output is never cached.
+// (simpoint, pass signature).
 func (e *Engine) annotated(sp *workload.Simpoint, s Setup, cfg *pipeline.Config) *prog.Program {
-	if s.Annotate != nil {
-		p := sp.Program.Clone()
-		p.ClearAnnotations()
-		s.Annotate(p)
-		return p
-	}
 	build := func() (*prog.Program, bool) {
 		p := sp.Program.Clone()
 		p.ClearAnnotations()

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
-	"clustersim/internal/prog"
 	"clustersim/internal/sim"
 	"clustersim/internal/workload"
 )
@@ -182,53 +180,84 @@ func TestSharedProgramRunsMatchRunOne(t *testing.T) {
 	}
 }
 
-// A tweaked machine is only cacheable under an explicit TweakKey, and
-// distinct keys never collide.
-func TestMachineTweakCaching(t *testing.T) {
-	tweak := func(cfg *pipeline.Config) { cfg.Cluster.IssueInt = 1 }
-	job := quickJob("gzip-1", sim.SetupOP(2))
-	job.Opts.MachineTweak = tweak
+// A MachineSpec that resolves to the default machine shares the
+// untweaked result key, so its run is served as a result hit.
+func TestMachineSpecDefaultSharesKey(t *testing.T) {
+	plain := quickJob("gzip-1", sim.SetupVC(2, 2))
+	same := plain
+	same.Opts.Machine = engine.MachineSpec{LinkLatency: 1, IQSize: 48, Topology: "p2p", CopyBandwidth: 1}
 
 	eng := engine.New(engine.Options{Parallelism: 1})
-	eng.Run(context.Background(), job)
-	eng.Run(context.Background(), job)
-	if st := eng.Stats(); st.Simulations != 2 || st.ResultHits != 0 {
-		t.Errorf("un-keyed tweak must bypass the result cache: %+v", st)
+	if eng.ResultKey(plain) != eng.ResultKey(same) {
+		t.Fatalf("default-valued machine spec has its own key:\n  %s\n  %s", eng.ResultKey(plain), eng.ResultKey(same))
 	}
-
-	job.Opts.TweakKey = "narrow-int"
-	eng2 := engine.New(engine.Options{Parallelism: 1})
-	keyed := eng2.Run(context.Background(), job)
-	cached := eng2.Run(context.Background(), job)
-	if st := eng2.Stats(); st.Simulations != 1 || st.ResultHits != 1 {
-		t.Errorf("keyed tweak must cache: %+v", st)
+	a := eng.Run(context.Background(), plain)
+	b := eng.Run(context.Background(), same)
+	if a.Err != nil || b.Err != nil {
+		t.Fatal(a.Err, b.Err)
 	}
-	if !bytes.Equal(encode(t, keyed.Metrics), encode(t, cached.Metrics)) {
-		t.Error("keyed tweak: cached metrics differ")
-	}
-
-	// Same label, different tweak key: must re-simulate.
-	job.Opts.TweakKey = "other"
-	eng2.Run(context.Background(), job)
-	if st := eng2.Stats(); st.Simulations != 2 {
-		t.Errorf("distinct tweak keys must not collide: %+v", st)
+	if st := eng.Stats(); st.Simulations != 1 || st.ResultHits != 1 {
+		t.Errorf("default-valued machine spec was not served as a hit: %+v", st)
 	}
 }
 
-// Opaque Annotate closures have no content key and must bypass all caches.
-func TestOpaqueAnnotateBypassesCache(t *testing.T) {
-	setup := sim.SetupOP(2)
-	setup.Label = "custom-op"
-	setup.Annotate = func(p *prog.Program) {}
-	eng := engine.New(engine.Options{Parallelism: 1})
-	eng.Run(context.Background(), quickJob("crafty", setup))
-	eng.Run(context.Background(), quickJob("crafty", setup))
-	st := eng.Stats()
-	if st.Simulations != 2 || st.ResultHits != 0 {
-		t.Errorf("opaque pass must bypass the result cache: %+v", st)
+// Every MachineSpec field changes the result key, and the tweaked run is
+// cached under it.
+func TestMachineSpecFieldsChangeKey(t *testing.T) {
+	zero := 0
+	tweaks := map[string]engine.MachineSpec{
+		"LinkLatency":    {LinkLatency: 2},
+		"IQSize":         {IQSize: 24},
+		"Topology":       {Topology: "ring"},
+		"CopyBandwidth":  {CopyBandwidth: 2},
+		"PrefetchDegree": {PrefetchDegree: &zero},
+		"Histograms":     {Histograms: true},
 	}
-	if st.TraceHits != 0 || st.ProgramHits != 0 {
-		t.Errorf("opaque pass must bypass artifact caches: %+v", st)
+	fields := reflect.TypeOf(engine.MachineSpec{})
+	if fields.NumField() != len(tweaks) {
+		t.Fatalf("MachineSpec has %d fields, the test covers %d", fields.NumField(), len(tweaks))
+	}
+	eng := engine.New(engine.Options{Parallelism: 1})
+	base := quickJob("crafty", sim.SetupOP(4))
+	seen := map[string]string{eng.ResultKey(base): "default"}
+	for i := 0; i < fields.NumField(); i++ {
+		name := fields.Field(i).Name
+		m, ok := tweaks[name]
+		if !ok {
+			t.Fatalf("no tweak for MachineSpec.%s", name)
+		}
+		job := base
+		job.Opts.Machine = m
+		key := eng.ResultKey(job)
+		if other, dup := seen[key]; dup {
+			t.Errorf("%s shares its key with %s", name, other)
+		}
+		seen[key] = name
+		eng.Run(context.Background(), job)
+		if res := eng.Run(context.Background(), job); res.Err != nil {
+			t.Errorf("%s: %v", name, res.Err)
+		}
+	}
+	if st := eng.Stats(); st.Simulations != int64(len(tweaks)) || st.ResultHits != int64(len(tweaks)) {
+		t.Errorf("tweaked runs not cached per machine: %+v", st)
+	}
+}
+
+// An invalid machine fails the job before anything runs.
+func TestMachineSpecRejectsInvalid(t *testing.T) {
+	neg := -1
+	for _, m := range []engine.MachineSpec{
+		{LinkLatency: -1}, {IQSize: -4}, {CopyBandwidth: -2}, {PrefetchDegree: &neg}, {Topology: "torus"},
+	} {
+		job := quickJob("gzip-1", sim.SetupOP(2))
+		job.Opts.Machine = m
+		eng := engine.New(engine.Options{Parallelism: 1})
+		if res := eng.Run(context.Background(), job); res.Err == nil {
+			t.Errorf("%+v: invalid machine ran", m)
+		}
+		if st := eng.Stats(); st.Simulations != 0 {
+			t.Errorf("%+v: invalid machine simulated", m)
+		}
 	}
 }
 

@@ -81,8 +81,8 @@ func (s CacheStats) Delta(base CacheStats) CacheStats {
 	}
 }
 
-// Add returns the field-wise sum of two stat snapshots (a hybrid runner
-// aggregating its remote and local halves).
+// Add returns the field-wise sum of two stat snapshots (a fleet runner
+// aggregating its workers).
 func (s CacheStats) Add(other CacheStats) CacheStats {
 	return CacheStats{
 		Simulations:       s.Simulations + other.Simulations,

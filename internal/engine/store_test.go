@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/prog"
 	"clustersim/internal/sim"
 	"clustersim/internal/store"
 	"clustersim/internal/workload"
@@ -68,30 +67,6 @@ func TestResultsPersistAcrossEngines(t *testing.T) {
 	}
 }
 
-// Uncacheable jobs (opaque Annotate closures) must never touch the store.
-func TestUncacheableJobsBypassStore(t *testing.T) {
-	st, err := store.OpenDisk(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := engine.New(engine.Options{Parallelism: 1, ResultStore: st})
-	setup := sim.SetupOP(2)
-	setup.Annotate = func(p *prog.Program) {}
-	job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: setup, Opts: sim.RunOptions{NumUops: 2000}}
-	if res := eng.Run(context.Background(), job); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if est := eng.Stats(); est.StoreHits+est.StoreMisses != 0 {
-		t.Errorf("uncacheable job consulted the store: %+v", est)
-	}
-	if sst := st.Stats(); sst.Puts != 0 {
-		t.Errorf("uncacheable job persisted: %+v", sst)
-	}
-	if _, ok := eng.ResultKey(job); ok {
-		t.Error("uncacheable job reported a result key")
-	}
-}
-
 // A corrupted store blob must degrade to a re-simulation, then heal the
 // store with a fresh record.
 func TestCorruptStoreBlobResimulates(t *testing.T) {
@@ -106,11 +81,7 @@ func TestCorruptStoreBlobResimulates(t *testing.T) {
 	if ref.Err != nil {
 		t.Fatal(ref.Err)
 	}
-	key, ok := eng.ResultKey(job)
-	if !ok {
-		t.Fatal("job unexpectedly uncacheable")
-	}
-	if _, ok := st.Get(key); !ok {
+	if _, ok := st.Get(eng.ResultKey(job)); !ok {
 		t.Fatal("expected a stored record to corrupt")
 	}
 

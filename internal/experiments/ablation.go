@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"clustersim/internal/engine"
 	"clustersim/internal/interconnect"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/sim"
 	"clustersim/internal/stats"
 )
@@ -39,20 +39,17 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// sweepVC runs OP plus a list of VC-variant setups over the suite and
-// aggregates average slowdown and copy rate per variant. The sweep name
-// doubles as the engine's tweak key, so tweaked runs are cached per sweep
-// and untweaked sweeps share the global untweaked results.
+// sweepVC runs OP plus a list of VC-variant setups over the suite on one
+// machine and aggregates average slowdown and copy rate per variant. The
+// engine keys results by the resolved machine, so a sweep point equal to
+// the default machine shares the untweaked results.
 func sweepVC(opt Options, name, axis string, variants []sim.Setup, labels []string,
-	tweak func(*pipeline.Config)) (*AblationResult, error) {
+	machine engine.MachineSpec) (*AblationResult, error) {
 	opt = opt.withDefaults()
 	sps := opt.suite()
 	setups := append([]sim.Setup{sim.SetupOP(variants[0].NumClusters)}, variants...)
 	runOpts := opt.runOpts()
-	if tweak != nil {
-		runOpts.MachineTweak = tweak
-		runOpts.TweakKey = name
-	}
+	runOpts.Machine = machine
 	res, err := opt.matrix(sps, setups, runOpts)
 	if err != nil {
 		return nil, err
@@ -87,7 +84,7 @@ func AblationChainLen(opt Options) (*AblationResult, error) {
 		variants = append(variants, sim.SetupVCChain(2, 2, c))
 		labels = append(labels, fmt.Sprintf("chain<=%d", c))
 	}
-	return sweepVC(opt, "VC chain-length cap (2 clusters)", "cap", variants, labels, nil)
+	return sweepVC(opt, "VC chain-length cap (2 clusters)", "cap", variants, labels, engine.MachineSpec{})
 }
 
 // AblationNumVC sweeps the virtual-cluster count on the 4-cluster machine
@@ -100,7 +97,7 @@ func AblationNumVC(opt Options) (*AblationResult, error) {
 		variants = append(variants, sim.SetupVC(n, 4))
 		labels = append(labels, fmt.Sprintf("numVC=%d", n))
 	}
-	return sweepVC(opt, "virtual-cluster count (4 clusters)", "numVC", variants, labels, nil)
+	return sweepVC(opt, "virtual-cluster count (4 clusters)", "numVC", variants, labels, engine.MachineSpec{})
 }
 
 // AblationLinkLatency sweeps the inter-cluster link latency under VC: the
@@ -109,12 +106,11 @@ func AblationLinkLatency(opt Options) ([]*AblationResult, error) {
 	opt = opt.withDefaults() // one engine across the sweep's sub-runs
 	var out []*AblationResult
 	for _, lat := range []int{1, 2, 4, 8} {
-		lat := lat
 		r, err := sweepVC(opt,
 			fmt.Sprintf("link latency %d cycles (2 clusters)", lat), "config",
 			[]sim.Setup{sim.SetupVC(2, 2), sim.SetupOB(2)},
 			[]string{"VC", "OB"},
-			func(cfg *pipeline.Config) { cfg.Net.Latency = lat })
+			engine.MachineSpec{LinkLatency: lat})
 		if err != nil {
 			return nil, err
 		}
@@ -129,15 +125,11 @@ func AblationIQSize(opt Options) ([]*AblationResult, error) {
 	opt = opt.withDefaults()
 	var out []*AblationResult
 	for _, size := range []int{24, 48, 96} {
-		size := size
 		r, err := sweepVC(opt,
 			fmt.Sprintf("issue queues %d entries (2 clusters)", size), "config",
 			[]sim.Setup{sim.SetupVC(2, 2), sim.SetupOneCluster(2)},
 			[]string{"VC", "one-cluster"},
-			func(cfg *pipeline.Config) {
-				cfg.Cluster.IQInt = size
-				cfg.Cluster.IQFP = size
-			})
+			engine.MachineSpec{IQSize: size})
 		if err != nil {
 			return nil, err
 		}
@@ -154,12 +146,11 @@ func AblationTopology(opt Options) ([]*AblationResult, error) {
 	opt = opt.withDefaults()
 	var out []*AblationResult
 	for _, topo := range []interconnect.Topology{interconnect.TopologyPointToPoint, interconnect.TopologyRing} {
-		topo := topo
 		r, err := sweepVC(opt,
 			fmt.Sprintf("interconnect topology %s (4 clusters)", topo), "config",
 			[]sim.Setup{sim.SetupVC(2, 4), sim.SetupOB(4)},
 			[]string{"VC(2->4)", "OB"},
-			func(cfg *pipeline.Config) { cfg.Net.Topology = topo })
+			engine.MachineSpec{Topology: topo.String()})
 		if err != nil {
 			return nil, err
 		}
@@ -179,7 +170,7 @@ func AblationVCComm(opt Options) ([]*AblationResult, error) {
 		r, err := sweepVC(opt,
 			fmt.Sprintf("VC-comm extension (%d clusters)", clusters), "config",
 			[]sim.Setup{sim.SetupVC(2, clusters), sim.SetupVCComm(2, clusters)},
-			[]string{"VC", "VC-comm"}, nil)
+			[]string{"VC", "VC-comm"}, engine.MachineSpec{})
 		if err != nil {
 			return nil, err
 		}
@@ -204,7 +195,7 @@ func AblationRegionScope(opt Options) ([]*AblationResult, error) {
 		labels := []string{"VC", "OB", "RHOP"}
 		r, err := sweepVC(opt,
 			fmt.Sprintf("compile window %d ops (2 clusters)", scope), "config",
-			variants, labels, nil)
+			variants, labels, engine.MachineSpec{})
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +210,7 @@ func AblationRegionScope(opt Options) ([]*AblationResult, error) {
 func AblationStallOverSteer(opt Options) (*AblationResult, error) {
 	return sweepVC(opt, "stall-over-steer (2 clusters)", "config",
 		[]sim.Setup{sim.SetupOPNoStall(2), sim.SetupVC(2, 2)},
-		[]string{"OP-nostall", "VC"}, nil)
+		[]string{"OP-nostall", "VC"}, engine.MachineSpec{})
 }
 
 // AblationCopyBandwidth sweeps the copy issue width and link bandwidth: the
@@ -228,15 +219,11 @@ func AblationCopyBandwidth(opt Options) ([]*AblationResult, error) {
 	opt = opt.withDefaults()
 	var out []*AblationResult
 	for _, bw := range []int{1, 2, 4} {
-		bw := bw
 		r, err := sweepVC(opt,
 			fmt.Sprintf("copy bandwidth %d/cycle (2 clusters)", bw), "config",
 			[]sim.Setup{sim.SetupVC(2, 2), sim.SetupOB(2)},
 			[]string{"VC", "OB"},
-			func(cfg *pipeline.Config) {
-				cfg.Cluster.IssueCopy = bw
-				cfg.Net.BandwidthPerLink = bw
-			})
+			engine.MachineSpec{CopyBandwidth: bw})
 		if err != nil {
 			return nil, err
 		}
@@ -255,12 +242,8 @@ func AblationPrefetch(opt Options) (*AblationResult, error) {
 	out := &AblationResult{Name: "stream prefetch degree (substrate check, OP)", Axis: "degree"}
 	var base []int64
 	for di, d := range degrees {
-		d := d
 		runOpts := opt.runOpts()
-		runOpts.MachineTweak = func(cfg *pipeline.Config) {
-			cfg.Mem.PrefetchDegree = d // 0 disables prefetching entirely
-		}
-		runOpts.TweakKey = fmt.Sprintf("prefetch-degree=%d", d)
+		runOpts.Machine = engine.MachineSpec{PrefetchDegree: &d} // 0 disables prefetching entirely
 		res, err := opt.matrix(sps, []sim.Setup{sim.SetupOP(2)}, runOpts)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,6 @@ import (
 
 	"clustersim/internal/sim"
 	"clustersim/internal/stats"
-	"clustersim/internal/steer"
 )
 
 // PolicyPoint summarizes one steering policy over the suite.
@@ -40,11 +39,11 @@ func PolicySpace(opt Options) (*PolicySpaceResult, error) {
 		depLogic bool
 	}{
 		{sim.SetupOP(2), true},
-		{setupPolicy("OP-nostall", func() steer.Policy { return &steer.OP{NoStall: true} }), true},
-		{setupPolicy("ADV", func() steer.Policy { return &steer.DependenceBalanced{} }), true},
-		{setupPolicy("LC", func() steer.Policy { return &steer.LeastLoaded{} }), false},
-		{setupPolicy("SLC", func() steer.Policy { return &steer.Slice{} }), false},
-		{setupPolicy("MOD", func() steer.Policy { return &steer.ModN{} }), false},
+		{sim.SetupOPNoStall(2), true},
+		{sim.SetupHeuristic("ADV", 2), true},
+		{sim.SetupHeuristic("LC", 2), false},
+		{sim.SetupHeuristic("SLC", 2), false},
+		{sim.SetupHeuristic("MOD", 2), false},
 		{sim.SetupVC(2, 2), false},
 	}
 	setups := make([]sim.Setup, len(policySetups))
@@ -72,11 +71,6 @@ func PolicySpace(opt Options) (*PolicySpaceResult, error) {
 		})
 	}
 	return out, nil
-}
-
-// setupPolicy wraps a bare runtime policy (no compiler pass) as a Setup.
-func setupPolicy(label string, newPolicy func() steer.Policy) sim.Setup {
-	return sim.Setup{Label: label, NumClusters: 2, NewPolicy: newPolicy}
 }
 
 // Render produces the survey table.

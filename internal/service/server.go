@@ -534,7 +534,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		jobs[i] = job
-		keys[i], _ = s.eng.ResultKey(job)
+		keys[i] = s.eng.ResultKey(job)
 	}
 
 	// Admission is decided after validation (a malformed batch should

@@ -206,9 +206,10 @@ func waitDone(t *testing.T, base, id string) {
 }
 
 // A single bare spec (no jobs array) is accepted, and bad requests fail
-// with useful errors instead of queueing garbage.
+// with useful errors instead of queueing garbage. Out-of-range machine
+// overrides are refused before any of them reaches a core.
 func TestSubmitValidation(t *testing.T) {
-	ts, _, _ := startServer(t)
+	ts, eng, _ := startServer(t)
 
 	resp, raw := postJSON(t, ts.URL+"/v1/jobs",
 		`{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"num_uops":2000}}`)
@@ -226,11 +227,20 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown kind":     `{"simpoint":"mcf","setup":{"kind":"WAT"}}`,
 		"empty":            `{}`,
 		"not json":         `hello`,
+		"negative latency": `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"machine":{"link_latency":-1}}}`,
+		"iq size":          `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"machine":{"iq_size":-4}}}`,
+		"copy bandwidth":   `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"machine":{"copy_bandwidth":-1}}}`,
+		"prefetch degree":  `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"machine":{"prefetch_degree":-2}}}`,
+		"topology":         `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"machine":{"topology":"torus"}}}`,
+		"machine field":    `{"simpoint":"mcf","setup":{"kind":"OP"},"opts":{"machine":{"rob_size":8}}}`,
 	} {
 		resp, raw := postJSON(t, ts.URL+"/v1/jobs", body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, body %s", name, resp.StatusCode, raw)
 		}
+	}
+	if st := eng.Stats(); st.Simulations != 1 {
+		t.Errorf("rejected submissions simulated: %d simulations, want 1", st.Simulations)
 	}
 
 	if resp, _ := http.Get(ts.URL + "/v1/jobs/sub-999"); resp.StatusCode != http.StatusNotFound {

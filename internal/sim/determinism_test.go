@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/steer"
 	"clustersim/internal/workload"
 )
 
@@ -15,9 +14,6 @@ import (
 // survey. A new policy should be added here so the byte-identity contract
 // covers it.
 func determinismSetups() []Setup {
-	bare := func(label string, newPolicy func() steer.Policy) Setup {
-		return Setup{Label: label, NumClusters: 2, NewPolicy: newPolicy}
-	}
 	return []Setup{
 		SetupOP(2),
 		SetupOPNoStall(2),
@@ -28,10 +24,10 @@ func determinismSetups() []Setup {
 		SetupVC(2, 4),
 		SetupVCComm(2, 2),
 		SetupVCChain(2, 2, 4),
-		bare("ADV", func() steer.Policy { return &steer.DependenceBalanced{} }),
-		bare("LC", func() steer.Policy { return &steer.LeastLoaded{} }),
-		bare("SLC", func() steer.Policy { return &steer.Slice{} }),
-		bare("MOD", func() steer.Policy { return &steer.ModN{} }),
+		SetupHeuristic("ADV", 2),
+		SetupHeuristic("LC", 2),
+		SetupHeuristic("SLC", 2),
+		SetupHeuristic("MOD", 2),
 	}
 }
 
@@ -69,10 +65,8 @@ func TestPolicyDeterminismSuite(t *testing.T) {
 				if !bytes.Equal(encA, encB) {
 					t.Errorf("%s: result encodings differ across engines (nondeterministic simulation)", sp.Name)
 				}
-				keyA, okA := engA.ResultKey(job)
-				keyB, okB := engB.ResultKey(job)
-				if okA != okB || keyA != keyB {
-					t.Errorf("%s: result keys differ: %q(%v) vs %q(%v)", sp.Name, keyA, okA, keyB, okB)
+				if keyA, keyB := engA.ResultKey(job), engB.ResultKey(job); keyA != keyB {
+					t.Errorf("%s: result keys differ: %q vs %q", sp.Name, keyA, keyB)
 				}
 			}
 		})
@@ -124,25 +118,23 @@ func TestPooledCoreByteIdentity(t *testing.T) {
 // TestResultKeysStableAcrossRewrite pins the exact result content keys of
 // a representative job set. A key change silently orphans every blob in
 // existing content-addressed stores (all cached results re-simulate), so
-// it must be a deliberate decision, not a side effect.
+// it must be a deliberate decision, not a side effect. The keys carry the
+// model version and a hash of the resolved machine config (cfg…), which
+// replaced the warm-up and tweak-name fields.
 func TestResultKeysStableAcrossRewrite(t *testing.T) {
 	eng := engine.New(engine.Options{})
 	want := map[string]string{
-		"OP":   "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|OP|p|c2|u3000|w0|t",
-		"VC":   "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|VC|pVC/2/0/0|c2|u3000|w0|t",
-		"OB":   "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|OB|pOB/2/0/0|c2|u3000|w0|t",
-		"RHOP": "result|v1|crafty|s2698591577689284590|h66f41a72d268c871|RHOP|pRHOP/2/0/0|c2|u3000|w0|t",
+		"OP":   "result|v1|model1|crafty|s2698591577689284590|h66f41a72d268c871|OP|p|c2|u3000|cfg12ad1109fa83a5d0",
+		"VC":   "result|v1|model1|crafty|s2698591577689284590|h66f41a72d268c871|VC|pVC/2/0/0|c2|u3000|cfg12ad1109fa83a5d0",
+		"OB":   "result|v1|model1|crafty|s2698591577689284590|h66f41a72d268c871|OB|pOB/2/0/0|c2|u3000|cfg12ad1109fa83a5d0",
+		"RHOP": "result|v1|model1|crafty|s2698591577689284590|h66f41a72d268c871|RHOP|pRHOP/2/0/0|c2|u3000|cfg12ad1109fa83a5d0",
 	}
 	setups := map[string]Setup{
 		"OP": SetupOP(2), "VC": SetupVC(2, 2), "OB": SetupOB(2), "RHOP": SetupRHOP(2),
 	}
 	for label, setup := range setups {
 		job := engine.Job{Simpoint: workload.ByName("crafty"), Setup: setup, Opts: RunOptions{NumUops: 3000}}
-		key, ok := eng.ResultKey(job)
-		if !ok {
-			t.Fatalf("%s: job unexpectedly uncacheable", label)
-		}
-		if key != want[label] {
+		if key := eng.ResultKey(job); key != want[label] {
 			t.Errorf("%s: result key drifted:\n got %q\nwant %q", label, key, want[label])
 		}
 	}

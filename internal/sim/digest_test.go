@@ -34,7 +34,8 @@ func digestSetups() []Setup {
 // and fast-forwarding of idle cycles, which are required to leave every
 // digest unchanged.
 //
-// Regenerate (only on a deliberate model change) with:
+// Regenerate (only on a deliberate model change, bumping
+// engine.ModelVersion and memoryPathDigestsModel with it) with:
 //
 //	go test ./internal/sim -run TestMemoryPathGoldenDigest -digest-print -v
 var memoryPathDigests = map[string]string{
@@ -174,6 +175,26 @@ var memoryPathDigests = map[string]string{
 	"ammp/2/LC":            "520391078a0831a17c0e409e537c2fa2d04443aef535e9da2acd74cd5e2df449",
 	"ammp/2/SLC":           "bc2de9e1fed08c1d21a665c76a980e3d188178feb6be84aef56c8cb52f69e8ae",
 	"ammp/2/MOD":           "0cf4a344aa790fba5ec148e1271668c9a48d3dc23fb4d9af14bfa1265c6b7cd8",
+}
+
+// memoryPathDigestsModel is the engine.ModelVersion memoryPathDigests was
+// recorded under.
+const memoryPathDigestsModel = 1
+
+// The golden tables pin the timing model's outcomes, and ModelVersion
+// keys every stored result by the model that simulated it: a regenerated
+// table is a model change, so it must come with a ModelVersion bump, or
+// warm stores keep serving results of the old model.
+func TestGoldenTablesPinModelVersion(t *testing.T) {
+	for table, v := range map[string]int{
+		"memoryPathDigests": memoryPathDigestsModel,
+		"goldenExpect":      goldenExpectModel,
+	} {
+		if v != engine.ModelVersion {
+			t.Errorf("%s was recorded under model version %d, engine.ModelVersion is %d: bump both together",
+				table, v, engine.ModelVersion)
+		}
+	}
 }
 
 func TestMemoryPathGoldenDigest(t *testing.T) {

@@ -33,10 +33,15 @@ func goldenSetups() map[string]Setup {
 	}
 }
 
+// goldenExpectModel is the engine.ModelVersion goldenExpect was recorded
+// under.
+const goldenExpectModel = 1
+
 // goldenExpect pins exact cycle and copy counts recorded before the
 // allocation-free hot-loop rewrite (windowed core state + event wheel):
 // the rewrite is required to be byte-identical, and any future drift here
-// means the machine model changed.
+// means the machine model changed (bump engine.ModelVersion and
+// goldenExpectModel with the table).
 var goldenExpect = []goldenEntry{
 	{"crafty", "OP", 3404, 198},
 	{"crafty", "one-cluster", 4727, 0},

@@ -52,6 +52,30 @@ func SetupOPNoStall(clusters int) Setup {
 	}
 }
 
+// heuristics are the hardware steering heuristics of the policy survey
+// (§3.1), by setup kind; none uses a compiler pass.
+var heuristics = map[string]func() steer.Policy{
+	"ADV": func() steer.Policy { return &steer.DependenceBalanced{} },
+	"LC":  func() steer.Policy { return &steer.LeastLoaded{} },
+	"SLC": func() steer.Policy { return &steer.Slice{} },
+	"MOD": func() steer.Policy { return &steer.ModN{} },
+}
+
+// SetupHeuristic returns the policy survey's hardware heuristic kind:
+// "ADV", "LC", "SLC" or "MOD".
+func SetupHeuristic(kind string, clusters int) Setup {
+	newPolicy := heuristics[kind]
+	if newPolicy == nil {
+		panic(fmt.Sprintf("sim: unknown heuristic setup kind %q", kind))
+	}
+	return Setup{
+		Label:       kind,
+		NumClusters: clusters,
+		Spec:        &engine.SetupSpec{Kind: kind, NumClusters: clusters},
+		NewPolicy:   newPolicy,
+	}
+}
+
 // SetupOneCluster returns the naive everything-to-cluster-0 configuration.
 func SetupOneCluster(clusters int) Setup {
 	return Setup{

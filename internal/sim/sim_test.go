@@ -3,7 +3,7 @@ package sim
 import (
 	"testing"
 
-	"clustersim/internal/pipeline"
+	"clustersim/internal/engine"
 	"clustersim/internal/workload"
 )
 
@@ -106,17 +106,17 @@ func TestRunMatrixMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMachineTweak(t *testing.T) {
+func TestMachineSpec(t *testing.T) {
 	sp := workload.ByName("crafty")
 	opt := quickOpts()
-	opt.MachineTweak = func(cfg *pipeline.Config) { cfg.Cluster.IssueInt = 1 }
+	opt.Machine = engine.MachineSpec{IQSize: 4}
 	narrow := RunOne(sp, SetupOP(2), opt)
 	wide := RunOne(sp, SetupOP(2), quickOpts())
 	if narrow.Err != nil || wide.Err != nil {
 		t.Fatalf("errs: %v %v", narrow.Err, wide.Err)
 	}
 	if narrow.Metrics.Cycles <= wide.Metrics.Cycles {
-		t.Errorf("halving issue width should cost cycles: %d vs %d",
+		t.Errorf("4-entry issue queues should cost cycles: %d vs %d",
 			narrow.Metrics.Cycles, wide.Metrics.Cycles)
 	}
 }

@@ -119,26 +119,24 @@ func SetupFromSpec(s engine.SetupSpec) (engine.Setup, error) {
 		return SetupVCChain(numVC, clusters, s.MaxChainLen), nil
 	case "VC-comm":
 		return SetupVCComm(numVC, clusters), nil
+	case "ADV", "LC", "SLC", "MOD":
+		return SetupHeuristic(s.Kind, clusters), nil
 	}
 	return engine.Setup{}, fmt.Errorf("sim: unknown setup kind %q", s.Kind)
 }
 
 // SpecFromJob converts a runnable job back to its declarative wire form —
 // the inverse of JobFromSpec, used by remote runners to ship a job to a
-// clusterd worker. Not every job can travel: setups built around opaque
-// closures (custom Annotate passes, hand-rolled policies), machine-tweak
-// closures, and workloads outside the synthetic suite have no declarative
-// form and must execute locally. The returned error says which constraint
-// failed so hybrid runners can route such jobs to a local fallback.
+// clusterd worker. Not every job can travel: setups hand-built around
+// custom passes or policies, and workloads outside the synthetic suite,
+// have no declarative form and must execute on a local engine. The
+// returned error says which constraint failed.
 func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	if job.Simpoint == nil {
 		return engine.JobSpec{}, fmt.Errorf("sim: job has no simpoint")
 	}
-	if job.Setup.Annotate != nil || job.Setup.Spec == nil {
+	if job.Setup.Spec == nil {
 		return engine.JobSpec{}, fmt.Errorf("sim: setup %q has no declarative spec (custom setups run locally only)", job.Setup.Label)
-	}
-	if job.Opts.MachineTweak != nil {
-		return engine.JobSpec{}, fmt.Errorf("sim: machine-tweak closures cannot cross a process boundary")
 	}
 	// The spec must still describe the setup: Setup fields are exported,
 	// so a caller may have mutated the setup after construction, and a
@@ -153,6 +151,9 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 		!passEqual(resolved.Pass, job.Setup.Pass) {
 		return engine.JobSpec{}, fmt.Errorf("sim: setup %q was modified after construction; its declarative spec no longer describes it (rebuild it with a Setup* constructor)", job.Setup.Label)
 	}
+	if err := job.Opts.Machine.Validate(); err != nil {
+		return engine.JobSpec{}, err
+	}
 	suite, ok := suiteIndex()[job.Simpoint.Name]
 	if !ok {
 		return engine.JobSpec{}, fmt.Errorf("sim: workload %q is not a suite member (custom workloads run locally only)", job.Simpoint.Name)
@@ -164,17 +165,19 @@ func SpecFromJob(job engine.Job) (engine.JobSpec, error) {
 	if suite.seed != job.Simpoint.Seed || suite.fp != fingerprintOf(job.Simpoint.Program) {
 		return engine.JobSpec{}, fmt.Errorf("sim: workload %q does not match the suite's definition (custom workloads run locally only)", job.Simpoint.Name)
 	}
-	return engine.JobSpec{
-		Simpoint: job.Simpoint.Name,
-		Setup:    *job.Setup.Spec,
-		Opts:     engine.OptionsSpec{NumUops: job.Opts.NumUops, WarmupUops: job.Opts.WarmupUops},
-	}, nil
+	opts := engine.OptionsSpec{NumUops: job.Opts.NumUops, WarmupUops: job.Opts.WarmupUops}
+	if m := job.Opts.Machine; m != (engine.MachineSpec{}) {
+		opts.Machine = &m // the default machine sends no "machine" key
+	}
+	return engine.JobSpec{Simpoint: job.Simpoint.Name, Setup: *job.Setup.Spec, Opts: opts}, nil
 }
 
 // JobFromSpec resolves a serialized job spec into a runnable engine job:
 // the simpoint is looked up in the synthetic suite (programs are never
 // shipped — they are rebuilt deterministically from the suite tables) and
-// the setup kind is mapped to its constructor.
+// the setup kind is mapped to its constructor. Machine overrides are
+// range-checked here, so a bad one fails the submission before it
+// reaches a core.
 func JobFromSpec(spec engine.JobSpec) (engine.Job, error) {
 	sp := simpointIndex()[spec.Simpoint]
 	if sp == nil {
@@ -184,5 +187,9 @@ func JobFromSpec(spec engine.JobSpec) (engine.Job, error) {
 	if err != nil {
 		return engine.Job{}, err
 	}
-	return engine.Job{Simpoint: sp, Setup: setup, Opts: spec.Opts.RunOptions()}, nil
+	opts := spec.Opts.RunOptions()
+	if err := opts.Machine.Validate(); err != nil {
+		return engine.Job{}, err
+	}
+	return engine.Job{Simpoint: sp, Setup: setup, Opts: opts}, nil
 }

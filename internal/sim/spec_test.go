@@ -1,11 +1,12 @@
 package sim
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 
 	"clustersim/internal/engine"
-	"clustersim/internal/pipeline"
 	"clustersim/internal/prog"
 	"clustersim/internal/uarch"
 	"clustersim/internal/workload"
@@ -25,14 +26,26 @@ func TestSpecJobRoundTrip(t *testing.T) {
 		SetupVC(2, 2), SetupVC(2, 4), SetupVCChain(2, 2, 3),
 		SetupVCComm(2, 2), SetupVCComm(2, 4),
 		SetupScoped("OB", 2, 64), SetupScoped("RHOP", 2, 128), SetupScoped("VC", 2, 64),
+		SetupHeuristic("ADV", 2), SetupHeuristic("LC", 2), SetupHeuristic("SLC", 4), SetupHeuristic("MOD", 2),
+	}
+	noPrefetch := 0
+	machines := []engine.MachineSpec{
+		{},
+		{LinkLatency: 4, IQSize: 24, Topology: "ring", CopyBandwidth: 2, PrefetchDegree: &noPrefetch, Histograms: true},
 	}
 	eng := engine.New(engine.Options{})
-	for _, setup := range setups {
-		job := engine.Job{Simpoint: sp, Setup: setup, Opts: RunOptions{NumUops: 9000, WarmupUops: 500}}
+	for i, setup := range setups {
+		machine := machines[i%len(machines)]
+		job := engine.Job{Simpoint: sp, Setup: setup, Opts: RunOptions{NumUops: 9000, WarmupUops: 500, Machine: machine}}
 		spec, err := SpecFromJob(job)
 		if err != nil {
 			t.Errorf("%s: SpecFromJob: %v", setup.Label, err)
 			continue
+		}
+		// The default machine sends no "machine" key at all.
+		wire, _ := json.Marshal(spec)
+		if hasKey := strings.Contains(string(wire), `"machine"`); hasKey != (machine != engine.MachineSpec{}) {
+			t.Errorf("%s: wire form %s (machine key present: %v)", setup.Label, wire, hasKey)
 		}
 		back, err := JobFromSpec(spec)
 		if err != nil {
@@ -45,19 +58,17 @@ func TestSpecJobRoundTrip(t *testing.T) {
 		if back.Setup.NumClusters != setup.NumClusters {
 			t.Errorf("%s: round-tripped clusters %d, want %d", setup.Label, back.Setup.NumClusters, setup.NumClusters)
 		}
-		if back.Opts.NumUops != 9000 || back.Opts.WarmupUops != 500 {
+		if back.Opts.NumUops != 9000 || back.Opts.WarmupUops != 500 || !reflect.DeepEqual(back.Opts.Machine, machine) {
 			t.Errorf("%s: round-tripped opts %+v", setup.Label, back.Opts)
 		}
-		k1, ok1 := eng.ResultKey(job)
-		k2, ok2 := eng.ResultKey(back)
-		if !ok1 || !ok2 || k1 != k2 {
-			t.Errorf("%s: result keys diverge after round trip:\n  %q (%v)\n  %q (%v)", setup.Label, k1, ok1, k2, ok2)
+		if k1, k2 := eng.ResultKey(job), eng.ResultKey(back); k1 != k2 {
+			t.Errorf("%s: result keys diverge after round trip:\n  %q\n  %q", setup.Label, k1, k2)
 		}
 	}
 }
 
 // Jobs with no declarative wire form must be rejected with an error that
-// names the constraint, so hybrid runners can route them locally.
+// names the constraint.
 func TestSpecFromJobRejections(t *testing.T) {
 	sp := workload.ByName("gzip-1")
 	cases := []struct {
@@ -65,15 +76,6 @@ func TestSpecFromJobRejections(t *testing.T) {
 		job  engine.Job
 		want string
 	}{
-		{
-			name: "custom annotate closure",
-			job: engine.Job{Simpoint: sp, Setup: Setup{
-				Label: "custom", NumClusters: 2,
-				Annotate:  func(*prog.Program) {},
-				NewPolicy: SetupOP(2).NewPolicy,
-			}},
-			want: "no declarative spec",
-		},
 		{
 			name: "hand-built setup without spec",
 			job: engine.Job{Simpoint: sp, Setup: Setup{
@@ -91,10 +93,10 @@ func TestSpecFromJobRejections(t *testing.T) {
 			want: "modified after construction",
 		},
 		{
-			name: "machine tweak closure",
+			name: "invalid machine",
 			job: engine.Job{Simpoint: sp, Setup: SetupOP(2),
-				Opts: RunOptions{MachineTweak: func(cfg *pipeline.Config) {}, TweakKey: "x"}},
-			want: "machine-tweak",
+				Opts: RunOptions{Machine: engine.MachineSpec{Topology: "torus"}}},
+			want: "unknown topology",
 		},
 		{
 			name: "custom workload",
