@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -25,16 +26,16 @@ import (
 // worker is one in-process clusterd: a real service stack behind an
 // interceptable handler, so tests can kill or delay it mid-protocol.
 type worker struct {
-	ts  *httptest.Server
+	ts *httptest.Server
+	// url names the worker by a fixed host that fastClient's transport
+	// resolves to ts (see hosts).
+	url string
 	eng *engine.Engine
 	svc http.Handler
 
 	dead        atomic.Bool  // every request aborts at the transport level
 	sick        atomic.Bool  // like dead, but liveness probes still answer
 	killOnIndex atomic.Int64 // arm: die right after the Nth submit (1-based)
-	// killFirst, shared between workers, arms whichever of them accepts
-	// a submit first: it dies right after, and disarms the others.
-	killFirst   atomic.Pointer[atomic.Bool]
 	submits     atomic.Int64
 	streamDelay time.Duration // slows SSE delivery: a straggler worker
 }
@@ -53,11 +54,7 @@ func (w *worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	}
 	isSubmit := r.Method == http.MethodPost && r.URL.Path == "/v1/jobs"
 	w.svc.ServeHTTP(rw, r)
-	if !isSubmit {
-		return
-	}
-	armed := w.killFirst.Load()
-	if w.submits.Add(1) == w.killOnIndex.Load() || (armed != nil && armed.CompareAndSwap(true, false)) {
+	if isSubmit && w.submits.Add(1) == w.killOnIndex.Load() {
 		// The submission was accepted and its jobs are running; every
 		// request from here on — the SSE stream, result fetches — hits
 		// the dead check above. This is "worker lost mid-stream".
@@ -65,20 +62,46 @@ func (w *worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func startWorker(t *testing.T) *worker {
+// hosts maps each running worker's fixed host name ("w1:80") to the
+// loopback address its test server listens on. The fleet shards by
+// worker URL, so naming workers by fixed hosts instead of their
+// ephemeral ports makes the ring place a test's jobs the same way in
+// every run: tests that need jobs on both workers cannot flake on a
+// port pair that puts a whole batch on one of them.
+var hosts sync.Map
+
+// startWorker starts a worker reachable, through fastClient's transport,
+// as http://name.
+func startWorker(t *testing.T, name string) *worker {
 	t.Helper()
 	st := store.NewTiered(store.NewMemory(64<<20), store.NewMemory(64<<20))
 	eng := engine.New(engine.Options{Parallelism: 2, ResultStore: st})
-	w := &worker{eng: eng, svc: service.New(context.Background(), eng, st)}
+	w := &worker{url: "http://" + name, eng: eng, svc: service.New(context.Background(), eng, st)}
 	w.ts = httptest.NewServer(w)
-	t.Cleanup(w.ts.Close)
+	hosts.Store(name+":80", w.ts.Listener.Addr().String())
+	t.Cleanup(func() {
+		hosts.Delete(name + ":80")
+		w.ts.Close()
+	})
 	return w
 }
 
 // fastClient makes failover quick enough for tests: tiny backoff, two
-// reconnect attempts before a worker counts as lost.
+// reconnect attempts before a worker counts as lost. Its transport,
+// fresh per call so no pooled connection outlives a test's servers,
+// resolves the workers' fixed host names.
 func fastClient() fleet.Option {
+	tr := client.DefaultTransport.Clone()
+	tr.Proxy = nil
+	var d net.Dialer
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if a, ok := hosts.Load(addr); ok {
+			addr = a.(string)
+		}
+		return d.DialContext(ctx, network, addr)
+	}
 	return fleet.WithClientOptions(
+		client.WithHTTPClient(&http.Client{Transport: tr}),
 		client.WithBackoff(time.Millisecond, 5*time.Millisecond),
 		client.WithRetries(2),
 	)
@@ -133,8 +156,8 @@ func collect(t *testing.T, out <-chan engine.JobResult, want int) map[int]engine
 // engine's, spreads the work across both workers' stores, and a second
 // fleet over the same workers is served entirely from their caches.
 func TestFleetMatchesLocalEngine(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
-	urls := []string{w1.ts.URL, w2.ts.URL}
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
+	urls := []string{w1.url, w2.url}
 	ctx := context.Background()
 
 	f, err := fleet.New(urls, fastClient())
@@ -197,12 +220,12 @@ func TestFleetMatchesLocalEngine(t *testing.T) {
 // unfinished jobs re-shard onto the survivor, every job yields exactly
 // one successful result, and the loss is logged.
 func TestFleetKillWorkerMidStream(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 	ctx := context.Background()
 
 	var logMu sync.Mutex
 	var logs []string
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient(),
 		fleet.WithLog(func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -212,14 +235,9 @@ func TestFleetKillWorkerMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Arm whichever worker accepts a shard submission first: its
-	// transport dies right after — jobs in flight, none of their results
-	// fetchable. Arming the first rather than a fixed worker keeps the
-	// test independent of where the ring places the jobs.
-	var armed atomic.Bool
-	armed.Store(true)
-	w1.killFirst.Store(&armed)
-	w2.killFirst.Store(&armed)
+	// Arm worker 2: it accepts the fleet's shard submission, then its
+	// transport dies — jobs in flight, none of their results fetchable.
+	w2.killOnIndex.Store(1)
 
 	_, _, jobs := suiteJobs(t, 8)
 	got := collect(t, f.Stream(ctx, jobs), len(jobs))
@@ -228,20 +246,12 @@ func TestFleetKillWorkerMidStream(t *testing.T) {
 			t.Errorf("job %d failed despite failover: %v", idx, jr.Result.Err)
 		}
 	}
-	if w1.dead.Load() == w2.dead.Load() {
-		t.Fatalf("want exactly one dead worker: w1 dead %v, w2 dead %v", w1.dead.Load(), w2.dead.Load())
-	}
-	survivor := w1
-	if w1.dead.Load() {
-		survivor = w2
-	}
 
-	// Every lost job re-ran exactly once, on the survivor: with the dead
-	// worker's results unreachable, the survivor must have executed the
-	// whole unique-job set (its engine dedups, so re-runs can't
-	// double-count).
-	if s := survivor.eng.Stats().Simulations; int(s) != len(jobs) {
-		t.Errorf("survivor executed %d simulations, want %d", s, len(jobs))
+	// Every lost job re-ran exactly once, on the survivor: with worker
+	// 2's results unreachable, worker 1 must have executed the whole
+	// unique-job set (its engine dedups, so re-runs can't double-count).
+	if s1 := w1.eng.Stats().Simulations; int(s1) != len(jobs) {
+		t.Errorf("survivor executed %d simulations, want %d", s1, len(jobs))
 	}
 	if f.Alive() != 1 {
 		t.Errorf("fleet reports %d workers alive, want 1", f.Alive())
@@ -268,11 +278,11 @@ func TestFleetKillWorkerMidStream(t *testing.T) {
 // work through the cooldown and probe, not fail it as "every worker
 // lost".
 func TestFleetAllBreakersOpenHoldsNotFails(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 
 	var logMu sync.Mutex
 	var logs []string
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient(),
 		fleet.WithBreaker(1, 2*time.Second),
 		fleet.WithLog(func(format string, args ...any) {
 			logMu.Lock()
@@ -318,8 +328,8 @@ func TestFleetAllBreakersOpenHoldsNotFails(t *testing.T) {
 // With every worker lost, pending jobs surface errors (exactly one per
 // job) instead of hanging.
 func TestFleetAllWorkersLost(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +355,7 @@ func TestFleetAllWorkersLost(t *testing.T) {
 // returns the local engine's result; a job with no wire form fails
 // loudly. Deterministic job failures are never retried as worker loss.
 func TestFleetShipsMachineSpec(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 	ctx := context.Background()
 	sp := workload.ByName("gzip-1")
 	tweaked := engine.Job{
@@ -354,7 +364,7 @@ func TestFleetShipsMachineSpec(t *testing.T) {
 		Opts:     engine.RunOptions{NumUops: 2000, Machine: engine.MachineSpec{LinkLatency: 9}},
 	}
 
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient())
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +395,7 @@ func TestFleetShipsMachineSpec(t *testing.T) {
 // Construction health-checks every worker and names the unreachable or
 // unauthorized ones; a correct token passes.
 func TestFleetConstructionHealthCheck(t *testing.T) {
-	good := startWorker(t)
+	good := startWorker(t, "good")
 	deadTS := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
 	deadURL := deadTS.URL
 	deadTS.Close()
@@ -430,12 +440,12 @@ func TestFleetConstructionHealthCheck(t *testing.T) {
 // worker duplicates part of its tail; the merged stream still delivers
 // each job exactly once with correct results.
 func TestFleetStealTail(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 	w2.streamDelay = 700 * time.Millisecond // worker 2 reports late
 
 	var logMu sync.Mutex
 	var logs []string
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient(),
 		fleet.WithSteal(4),
 		fleet.WithLog(func(format string, args ...any) {
 			logMu.Lock()

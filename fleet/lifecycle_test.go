@@ -45,10 +45,10 @@ func memberState(t *testing.T, st fleet.Stats, url string) fleet.MemberStatus {
 // original batch costs zero simulations because every key lands back on
 // the worker whose store already holds it.
 func TestFleetReadmitRestoresPlacement(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 	ctx := context.Background()
 
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient(),
 		fleet.WithReadmit(25*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestFleetReadmitRestoresPlacement(t *testing.T) {
 		t.Fatalf("fleet reports %d alive after kill, want 1", f.Alive())
 	}
 	st := f.FleetStats()
-	if ms := memberState(t, st, w2.ts.URL); ms.State != "dead" || ms.LastError == "" {
+	if ms := memberState(t, st, w2.url); ms.State != "dead" || ms.LastError == "" {
 		t.Errorf("dead worker state = %q lastErr = %q", ms.State, ms.LastError)
 	}
 	deadEpoch := st.Epoch
@@ -91,7 +91,7 @@ func TestFleetReadmitRestoresPlacement(t *testing.T) {
 	if st.Epoch <= deadEpoch {
 		t.Errorf("epoch did not advance on re-admission: %d -> %d", deadEpoch, st.Epoch)
 	}
-	if ms := memberState(t, st, w2.ts.URL); ms.State != "alive" || ms.LastError != "" {
+	if ms := memberState(t, st, w2.url); ms.State != "alive" || ms.LastError != "" {
 		t.Errorf("re-admitted worker state = %q lastErr = %q", ms.State, ms.LastError)
 	}
 
@@ -108,12 +108,12 @@ func TestFleetReadmitRestoresPlacement(t *testing.T) {
 // before removal: re-running the batch against the shrunken fleet costs
 // zero simulations.
 func TestFleetDrainMigratesWithoutResimulating(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 	ctx := context.Background()
 
 	var logMu sync.Mutex
 	var logs []string
-	f, err := fleet.New([]string{w1.ts.URL, w2.ts.URL}, fastClient(),
+	f, err := fleet.New([]string{w1.url, w2.url}, fastClient(),
 		fleet.WithLog(func(format string, args ...any) {
 			logMu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
@@ -130,14 +130,14 @@ func TestFleetDrainMigratesWithoutResimulating(t *testing.T) {
 		t.Fatalf("degenerate shard split: %d / %d", s1, s2)
 	}
 
-	if err := f.Drain(ctx, w2.ts.URL); err != nil {
+	if err := f.Drain(ctx, w2.url); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	st := f.FleetStats()
 	if st.DrainMigrated == 0 {
 		t.Error("drain migrated no result blobs")
 	}
-	if ms := memberState(t, st, w2.ts.URL); ms.State != "removed" {
+	if ms := memberState(t, st, w2.url); ms.State != "removed" {
 		t.Errorf("drained worker state = %q, want removed", ms.State)
 	}
 	if f.Alive() != 1 {
@@ -153,10 +153,10 @@ func TestFleetDrainMigratesWithoutResimulating(t *testing.T) {
 
 	// A removed worker cannot be drained again, and the last assignable
 	// worker has nowhere to drain to.
-	if err := f.Drain(ctx, w2.ts.URL); err == nil {
+	if err := f.Drain(ctx, w2.url); err == nil {
 		t.Error("draining a removed worker succeeded")
 	}
-	if err := f.Drain(ctx, w1.ts.URL); err == nil || !strings.Contains(err.Error(), "no assignable worker") {
+	if err := f.Drain(ctx, w1.url); err == nil || !strings.Contains(err.Error(), "no assignable worker") {
 		t.Errorf("draining the last worker: %v", err)
 	}
 	logMu.Lock()
@@ -170,10 +170,10 @@ func TestFleetDrainMigratesWithoutResimulating(t *testing.T) {
 // owners before announcing it: the first batch after the ring grows
 // simulates nothing.
 func TestFleetAddWorkerBackfills(t *testing.T) {
-	w1 := startWorker(t)
+	w1 := startWorker(t, "w1")
 	ctx := context.Background()
 
-	f, err := fleet.New([]string{w1.ts.URL}, fastClient())
+	f, err := fleet.New([]string{w1.url}, fastClient())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +184,15 @@ func TestFleetAddWorkerBackfills(t *testing.T) {
 		t.Fatalf("solo worker simulated %d of %d", s1, len(jobs))
 	}
 
-	w2 := startWorker(t)
-	if err := f.AddWorker(ctx, w2.ts.URL); err != nil {
+	w2 := startWorker(t, "w2")
+	if err := f.AddWorker(ctx, w2.url); err != nil {
 		t.Fatalf("add worker: %v", err)
 	}
 	st := f.FleetStats()
 	if st.Backfilled == 0 {
 		t.Error("scale-up backfilled no result blobs")
 	}
-	if ms := memberState(t, st, w2.ts.URL); ms.State != "alive" {
+	if ms := memberState(t, st, w2.url); ms.State != "alive" {
 		t.Errorf("added worker state = %q, want alive", ms.State)
 	}
 	if f.Alive() != 2 {
@@ -210,7 +210,7 @@ func TestFleetAddWorkerBackfills(t *testing.T) {
 
 	// Adding a serving worker is an idempotent no-op.
 	epoch := f.FleetStats().Epoch
-	if err := f.AddWorker(ctx, w2.ts.URL); err != nil {
+	if err := f.AddWorker(ctx, w2.url); err != nil {
 		t.Fatalf("re-add: %v", err)
 	}
 	if got := f.FleetStats().Epoch; got != epoch {
@@ -223,9 +223,9 @@ func TestFleetAddWorkerBackfills(t *testing.T) {
 // unique job, both report the same membership epoch, and a drain made
 // through one runner is visible to the other.
 func TestFleetCoordinatorConvergence(t *testing.T) {
-	w1, w2 := startWorker(t), startWorker(t)
+	w1, w2 := startWorker(t, "w1"), startWorker(t, "w2")
 	coord := startCoordinator(t)
-	urls := []string{w1.ts.URL, w2.ts.URL}
+	urls := []string{w1.url, w2.url}
 	ctx := context.Background()
 
 	fA, err := fleet.New(urls, fastClient(), fleet.WithCoordinator(coord.URL))
@@ -261,7 +261,7 @@ func TestFleetCoordinatorConvergence(t *testing.T) {
 
 	// A drain through runner A reaches runner B at its next sync: B
 	// routes around the removed worker and re-simulates nothing.
-	if err := fA.Drain(ctx, w2.ts.URL); err != nil {
+	if err := fA.Drain(ctx, w2.url); err != nil {
 		t.Fatalf("drain through runner A: %v", err)
 	}
 	pre1, pre2 := w1.eng.Stats().Simulations, w2.eng.Stats().Simulations
@@ -269,7 +269,7 @@ func TestFleetCoordinatorConvergence(t *testing.T) {
 	if a, b := w1.eng.Stats().Simulations, w2.eng.Stats().Simulations; a != pre1 || b != pre2 {
 		t.Errorf("post-drain run re-simulated: %d/%d -> %d/%d", pre1, pre2, a, b)
 	}
-	if ms := memberState(t, fB.FleetStats(), w2.ts.URL); ms.State != "removed" {
+	if ms := memberState(t, fB.FleetStats(), w2.url); ms.State != "removed" {
 		t.Errorf("runner B sees drained worker as %q, want removed", ms.State)
 	}
 	if fB.Alive() != 1 {

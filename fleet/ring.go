@@ -30,20 +30,11 @@ type ring struct {
 	points []ringPoint
 }
 
-// hashKey positions a key (or a virtual node) on the ring: FNV-1a, then
-// the MurmurHash3 finalizer, without which a worker's virtual points
-// "url#0".."url#63" bunch up (FNV-1a barely moves its high bits on the
-// last bytes) and one of two workers owns ~74% of the key space.
+// hashKey positions a key (or a virtual node) on the ring.
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	x := h.Sum64()
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
+	return h.Sum64()
 }
 
 // newRing builds the ring for the given member URLs. Points depend only
