@@ -10,11 +10,11 @@ import (
 
 func TestIQInsertSelect(t *testing.T) {
 	q := NewIQ("t", 4, 2)
-	if !q.Insert(1, 0, nil) { // ready at insert
+	if q.Insert(1, 0, 0) == nil { // ready at insert
 		t.Fatal("insert refused below capacity")
 	}
-	q.Insert(2, 0, []int64{100})
-	q.Insert(3, 0, nil)
+	q.Insert(2, 0, 1)
+	q.Insert(3, 0, 0)
 	got := q.SelectReady(0, nil)
 	if len(got) != 2 {
 		t.Fatalf("selected %d, want 2 (width)", len(got))
@@ -29,15 +29,15 @@ func TestIQInsertSelect(t *testing.T) {
 
 func TestIQWakeup(t *testing.T) {
 	q := NewIQ("t", 4, 2)
-	q.Insert(5, 0, []int64{100, 101})
+	e := q.Insert(5, 0, 2)
 	if got := q.SelectReady(0, nil); len(got) != 0 {
 		t.Fatal("entry with pending operands selected")
 	}
-	q.Wakeup(100)
+	q.OperandReady(e)
 	if got := q.SelectReady(0, nil); len(got) != 0 {
 		t.Fatal("entry with one pending operand selected")
 	}
-	q.Wakeup(101)
+	q.OperandReady(e)
 	got := q.SelectReady(0, nil)
 	if len(got) != 1 || got[0].Seq != 5 {
 		t.Fatalf("entry not selectable after both wakeups: %v", got)
@@ -46,9 +46,9 @@ func TestIQWakeup(t *testing.T) {
 
 func TestIQCapacity(t *testing.T) {
 	q := NewIQ("t", 2, 1)
-	q.Insert(1, 0, nil)
-	q.Insert(2, 0, nil)
-	if q.Insert(3, 0, nil) {
+	q.Insert(1, 0, 0)
+	q.Insert(2, 0, 0)
+	if q.Insert(3, 0, 0) != nil {
 		t.Fatal("insert above capacity accepted")
 	}
 	if !q.Full() {
@@ -58,8 +58,8 @@ func TestIQCapacity(t *testing.T) {
 
 func TestIQAcceptFilter(t *testing.T) {
 	q := NewIQ("t", 4, 2)
-	q.Insert(1, 0, nil)
-	q.Insert(2, 0, nil)
+	q.Insert(1, 0, 0)
+	q.Insert(2, 0, 0)
 	// Refuse seq 1; seq 2 should still be picked, and seq 1 stays queued.
 	got := q.SelectReady(0, func(e *Entry) bool { return e.Seq != 1 })
 	if len(got) != 1 || got[0].Seq != 2 {
@@ -73,7 +73,7 @@ func TestIQAcceptFilter(t *testing.T) {
 func TestIQSelectMaxBelowWidth(t *testing.T) {
 	q := NewIQ("t", 8, 4)
 	for i := int64(0); i < 5; i++ {
-		q.Insert(i, 0, nil)
+		q.Insert(i, 0, 0)
 	}
 	if got := q.SelectReady(2, nil); len(got) != 2 {
 		t.Fatalf("selected %d, want 2", len(got))
@@ -82,13 +82,14 @@ func TestIQSelectMaxBelowWidth(t *testing.T) {
 
 func TestIQDoubleWakeupPanics(t *testing.T) {
 	q := NewIQ("t", 4, 1)
-	q.Insert(1, 0, []int64{7})
-	q.Wakeup(7)
-	// Second wakeup of the same tag is a no-op (tag list consumed).
-	q.Wakeup(7)
-	if got := q.SelectReady(0, nil); len(got) != 1 {
-		t.Fatal("entry lost after repeated wakeup of consumed tag")
-	}
+	e := q.Insert(1, 0, 1)
+	q.OperandReady(e)
+	defer func() {
+		if recover() == nil {
+			t.Error("a wakeup past the entry's pending operands should panic")
+		}
+	}()
+	q.OperandReady(e)
 }
 
 func TestClusterQueueFor(t *testing.T) {
@@ -167,7 +168,7 @@ func TestDividerOccupancy(t *testing.T) {
 
 func TestClusterReset(t *testing.T) {
 	c := New(0, DefaultConfig())
-	c.IntQ.Insert(1, 0, nil)
+	c.IntQ.Insert(1, 0, 0)
 	c.AllocReg(uarch.IntReg(0))
 	c.InFlight = 5
 	c.Reset()
@@ -187,11 +188,11 @@ func TestIQSelectionOrderProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewIQ("q", 64, width)
 		for i := 0; i < n; i++ {
-			var deps []int64
+			pending := 0
 			if rng.Intn(3) == 0 {
-				deps = []int64{int64(1000 + i)}
+				pending = 1
 			}
-			q.Insert(int64(i), 0, deps)
+			q.Insert(int64(i), 0, pending)
 		}
 		got := q.SelectReady(0, nil)
 		if len(got) > width {
@@ -217,7 +218,7 @@ func TestIQOccupancyBalanceProperty(t *testing.T) {
 		q := NewIQ("q", 128, 2)
 		inserted, selected := 0, 0
 		for i := 0; i < n; i++ {
-			if q.Insert(int64(i), 0, nil) {
+			if q.Insert(int64(i), 0, 0) != nil {
 				inserted++
 			}
 			if rng.Intn(2) == 0 {
@@ -233,8 +234,8 @@ func TestIQOccupancyBalanceProperty(t *testing.T) {
 
 func TestIQAuxPayloadPreserved(t *testing.T) {
 	q := NewIQ("t", 4, 2)
-	q.Insert(1, 7, nil)
-	q.Insert(2, 9, nil)
+	q.Insert(1, 7, 0)
+	q.Insert(2, 9, 0)
 	got := q.SelectReady(0, nil)
 	if len(got) != 2 || got[0].Aux != 7 || got[1].Aux != 9 {
 		t.Fatalf("aux payloads lost: %+v", got)
@@ -243,8 +244,8 @@ func TestIQAuxPayloadPreserved(t *testing.T) {
 
 func TestIQIssuedCounter(t *testing.T) {
 	q := NewIQ("t", 4, 2)
-	q.Insert(1, 0, nil)
-	q.Insert(2, 0, nil)
+	q.Insert(1, 0, 0)
+	q.Insert(2, 0, 0)
 	q.SelectReady(0, nil)
 	if q.Issued != 2 {
 		t.Errorf("Issued = %d, want 2", q.Issued)
@@ -259,13 +260,13 @@ func TestIQIssuedCounter(t *testing.T) {
 // entry waking before an older one cannot jump the selection order.
 func TestIQWakeupOrderIndependence(t *testing.T) {
 	q := NewIQ("t", 8, 4)
-	q.Insert(10, 0, []int64{100}) // oldest
-	q.Insert(11, 0, []int64{101})
-	q.Insert(12, 0, []int64{102}) // youngest
+	oldest := q.Insert(10, 0, 1)
+	mid := q.Insert(11, 0, 1)
+	youngest := q.Insert(12, 0, 1)
 	// Wake youngest-first.
-	q.Wakeup(102)
-	q.Wakeup(101)
-	q.Wakeup(100)
+	q.OperandReady(youngest)
+	q.OperandReady(mid)
+	q.OperandReady(oldest)
 	got := q.SelectReady(0, nil)
 	if len(got) != 3 || got[0].Seq != 10 || got[1].Seq != 11 || got[2].Seq != 12 {
 		t.Fatalf("selection order %v, want oldest-first 10,11,12", got)
@@ -276,8 +277,8 @@ func TestIQWakeupOrderIndependence(t *testing.T) {
 // re-offered, still in age position, on the next select.
 func TestIQRefusedEntryStaysReady(t *testing.T) {
 	q := NewIQ("t", 8, 4)
-	q.Insert(1, 0, nil)
-	q.Insert(2, 0, nil)
+	q.Insert(1, 0, 0)
+	q.Insert(2, 0, 0)
 	got := q.SelectReady(0, func(e *Entry) bool { return e.Seq != 1 })
 	if len(got) != 1 || got[0].Seq != 2 {
 		t.Fatalf("got %v, want only seq 2", got)
@@ -297,8 +298,7 @@ func TestIQReadyListMatchesScanProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := NewIQ("q", 64, 3)
 		type slot struct {
-			seq  int64
-			tag  int64
+			e    *Entry
 			woke bool
 		}
 		var pendingSlots []slot
@@ -309,18 +309,16 @@ func TestIQReadyListMatchesScanProperty(t *testing.T) {
 			case 0: // insert, sometimes with a dependency
 				seq := int64(i)
 				if rng.Intn(2) == 0 {
-					tag := int64(1000 + i)
-					q.Insert(seq, 0, []int64{tag})
-					pendingSlots = append(pendingSlots, slot{seq: seq, tag: tag})
+					pendingSlots = append(pendingSlots, slot{e: q.Insert(seq, 0, 1)})
 				} else {
-					q.Insert(seq, 0, nil)
+					q.Insert(seq, 0, 0)
 				}
 				order = append(order, seq)
 			case 1: // wake a random still-pending entry
 				if len(pendingSlots) > 0 {
 					j := rng.Intn(len(pendingSlots))
 					if !pendingSlots[j].woke {
-						q.Wakeup(pendingSlots[j].tag)
+						q.OperandReady(pendingSlots[j].e)
 						pendingSlots[j].woke = true
 					}
 				}
@@ -334,7 +332,7 @@ func TestIQReadyListMatchesScanProperty(t *testing.T) {
 		// insertion order of whatever is still queued.
 		for _, s := range pendingSlots {
 			if !s.woke {
-				q.Wakeup(s.tag)
+				q.OperandReady(s.e)
 			}
 		}
 		var want []int64
@@ -366,13 +364,14 @@ func TestIQReadyListMatchesScanProperty(t *testing.T) {
 // the no-ready-work early-out path.
 func TestIQSteadyStateAllocFree(t *testing.T) {
 	q := NewIQ("t", 32, 4)
+	var waiting [8]*Entry
 	allocs := testing.AllocsPerRun(200, func() {
-		for i := int64(0); i < 8; i++ {
-			q.Insert(i, 0, []int64{100 + i})
+		for i := range waiting {
+			waiting[i] = q.Insert(int64(i), 0, 1)
 		}
 		q.SelectReady(0, nil) // nothing ready: early-out
-		for i := int64(0); i < 8; i++ {
-			q.Wakeup(100 + i)
+		for _, e := range waiting {
+			q.OperandReady(e)
 		}
 		for q.Len() > 0 {
 			q.SelectReady(0, nil)
@@ -390,9 +389,9 @@ func TestIQSteadyStateAllocFree(t *testing.T) {
 
 func TestOccupancySumsQueues(t *testing.T) {
 	c := New(0, DefaultConfig())
-	c.IntQ.Insert(1, 0, nil)
-	c.FPQ.Insert(2, 0, nil)
-	c.CopyQ.Insert(3, 0, nil)
+	c.IntQ.Insert(1, 0, 0)
+	c.FPQ.Insert(2, 0, 0)
+	c.CopyQ.Insert(3, 0, 0)
 	if got := c.Occupancy(); got != 3 {
 		t.Errorf("Occupancy = %d, want 3", got)
 	}

@@ -26,16 +26,17 @@ type Entry struct {
 
 	ageNext, agePrev     *Entry
 	readyNext, readyPrev *Entry
-	inReady              bool
 }
 
 // Ready reports whether all operands have arrived.
 func (e *Entry) Ready() bool { return e.pending == 0 }
 
-// IQ is an issue queue with capacity, per-cycle issue width, oldest-first
-// selection and tag-based wakeup. Entries and the per-tag waiter lists are
-// pooled across the queue's lifetime, so steady-state insert/wakeup/select
-// cycles allocate nothing.
+// IQ is an issue queue with capacity, per-cycle issue width and
+// oldest-first selection. It does not know which values its entries wait
+// for: the owner keeps each waiting entry on its value's waiter list and
+// calls OperandReady as operands arrive. Entries are pooled across the
+// queue's lifetime, so steady-state insert/wakeup/select cycles allocate
+// nothing.
 //
 // Readiness is tracked at wakeup time: an entry whose last pending operand
 // arrives moves onto an age-ordered ready list, so SelectReady walks only
@@ -55,19 +56,15 @@ type IQ struct {
 	ageHead, ageTail     *Entry
 	readyHead, readyTail *Entry
 
-	waiting map[int64][]*Entry // operand tag → waiting entries
-
 	// picked is the reusable SelectReady result buffer; its entries are
 	// recycled into free at the start of the next SelectReady call, so a
 	// returned slice is valid only until then.
 	picked []*Entry
-	// free pools retired Entry objects; wfree pools drained waiter lists.
-	free  []*Entry
-	wfree [][]*Entry
+	// free pools retired Entry objects.
+	free []*Entry
 
-	// Issued counts selections; WakeupEvents counts tag broadcasts that
-	// woke at least one entry.
-	Issued, WakeupEvents uint64
+	// Issued counts selections.
+	Issued uint64
 }
 
 // NewIQ builds an issue queue.
@@ -75,7 +72,7 @@ func NewIQ(name string, capacity, width int) *IQ {
 	if capacity <= 0 || width <= 0 {
 		panic(fmt.Sprintf("cluster: IQ %q capacity %d width %d", name, capacity, width))
 	}
-	q := &IQ{name: name, cap: capacity, width: width, waiting: make(map[int64][]*Entry)}
+	q := &IQ{name: name, cap: capacity, width: width}
 	// Pre-populate the entry pool from one flat array: at most cap queued
 	// plus width freshly selected entries are ever live, so inserts never
 	// allocate.
@@ -83,15 +80,6 @@ func NewIQ(name string, capacity, width int) *IQ {
 	q.free = make([]*Entry, len(ents))
 	for i := range ents {
 		q.free[i] = &ents[i]
-	}
-	// Likewise seed the waiter-list pool: at most cap tags are waited on at
-	// once, and most have one or two waiters, so chunks of a flat backing
-	// array absorb nearly all waiting-map appends.
-	const waiterSeedCap = 2
-	wbacking := make([]*Entry, waiterSeedCap*capacity)
-	q.wfree = make([][]*Entry, capacity)
-	for i := range q.wfree {
-		q.wfree[i] = wbacking[i*waiterSeedCap : i*waiterSeedCap : (i+1)*waiterSeedCap]
 	}
 	return q
 }
@@ -114,12 +102,12 @@ func (q *IQ) ReadyLen() int { return q.nReady }
 // Full reports whether insertion would fail.
 func (q *IQ) Full() bool { return q.n >= q.cap }
 
-// Insert queues the micro-op with the given unready operand tags. Tags
-// already ready must be omitted by the caller; the tag slice is not
-// retained. Returns false when full.
-func (q *IQ) Insert(seq int64, aux int, unreadyTags []int64) bool {
+// Insert queues the micro-op with pending source operands not yet
+// readable and returns its entry, or nil when the queue is full. The
+// caller reports each operand's arrival with OperandReady.
+func (q *IQ) Insert(seq int64, aux, pending int) *Entry {
 	if q.Full() {
-		return false
+		return nil
 	}
 	var e *Entry
 	if n := len(q.free); n > 0 {
@@ -129,7 +117,7 @@ func (q *IQ) Insert(seq int64, aux int, unreadyTags []int64) bool {
 	} else {
 		e = &Entry{}
 	}
-	*e = Entry{Seq: seq, Aux: aux, pending: len(unreadyTags), age: q.ageClock}
+	*e = Entry{Seq: seq, Aux: aux, pending: pending, age: q.ageClock}
 	q.ageClock++
 	// Append to the age tail: a fresh insert is by definition the youngest.
 	e.agePrev = q.ageTail
@@ -140,28 +128,16 @@ func (q *IQ) Insert(seq int64, aux int, unreadyTags []int64) bool {
 	}
 	q.ageTail = e
 	q.n++
-	for _, tag := range unreadyTags {
-		ws, ok := q.waiting[tag]
-		if !ok {
-			if n := len(q.wfree); n > 0 {
-				ws = q.wfree[n-1]
-				q.wfree[n-1] = nil
-				q.wfree = q.wfree[:n-1]
-			}
-		}
-		q.waiting[tag] = append(ws, e)
-	}
-	if e.pending == 0 {
+	if pending == 0 {
 		// Youngest entry in the queue, so appending keeps the ready list
 		// age-ordered.
 		q.readyAppend(e)
 	}
-	return true
+	return e
 }
 
 // readyAppend pushes e (the youngest ready entry) onto the ready tail.
 func (q *IQ) readyAppend(e *Entry) {
-	e.inReady = true
 	e.readyPrev = q.readyTail
 	if q.readyTail != nil {
 		q.readyTail.readyNext = e
@@ -184,7 +160,6 @@ func (q *IQ) readyInsert(e *Entry) {
 		q.readyAppend(e)
 		return
 	}
-	e.inReady = true
 	q.nReady++
 	if at == nil {
 		e.readyPrev = nil
@@ -212,7 +187,6 @@ func (q *IQ) readyRemove(e *Entry) {
 		q.readyTail = e.readyPrev
 	}
 	e.readyNext, e.readyPrev = nil, nil
-	e.inReady = false
 	q.nReady--
 }
 
@@ -232,27 +206,17 @@ func (q *IQ) ageRemove(e *Entry) {
 	q.n--
 }
 
-// Wakeup broadcasts that the value produced by tag is now readable in this
-// cluster; all entries waiting on it drop one pending operand, and entries
-// whose last operand this was move onto the ready list in age order.
-func (q *IQ) Wakeup(tag int64) {
-	ws := q.waiting[tag]
-	if len(ws) == 0 {
-		return
+// OperandReady records the arrival of one of e's pending operands. An
+// entry whose last operand this was moves onto the ready list at its age
+// position, so the order in which entries wake never changes selection.
+func (q *IQ) OperandReady(e *Entry) {
+	e.pending--
+	if e.pending < 0 {
+		panic(fmt.Sprintf("cluster: IQ %q double wakeup of %d", q.name, e.Seq))
 	}
-	for i, e := range ws {
-		e.pending--
-		if e.pending < 0 {
-			panic(fmt.Sprintf("cluster: IQ %q double wakeup of %d", q.name, e.Seq))
-		}
-		if e.pending == 0 && !e.inReady {
-			q.readyInsert(e)
-		}
-		ws[i] = nil
+	if e.pending == 0 {
+		q.readyInsert(e)
 	}
-	delete(q.waiting, tag)
-	q.wfree = append(q.wfree, ws[:0])
-	q.WakeupEvents++
 }
 
 // SelectReady pops up to max ready entries, oldest first. A max of zero or
@@ -289,14 +253,12 @@ func (q *IQ) SelectReady(max int, accept func(*Entry) bool) []*Entry {
 }
 
 // Reset clears the queue (between runs) without allocating: every entry
-// returns to the pool and drained waiter lists return to theirs, so a
-// pooled core's queues come back warm.
+// returns to the pool, so a pooled core's queues come back warm.
 func (q *IQ) Reset() {
 	for e := q.ageHead; e != nil; {
 		next := e.ageNext
 		e.ageNext, e.agePrev = nil, nil
 		e.readyNext, e.readyPrev = nil, nil
-		e.inReady = false
 		q.free = append(q.free, e)
 		e = next
 	}
@@ -309,12 +271,5 @@ func (q *IQ) Reset() {
 		q.picked[i] = nil
 	}
 	q.picked = q.picked[:0]
-	for tag, ws := range q.waiting {
-		for i := range ws {
-			ws[i] = nil
-		}
-		q.wfree = append(q.wfree, ws[:0])
-		delete(q.waiting, tag)
-	}
-	q.Issued, q.WakeupEvents = 0, 0
+	q.Issued = 0
 }

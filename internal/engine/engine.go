@@ -152,12 +152,15 @@ type Options struct {
 	// Parallelism bounds concurrently executing simulations; ≤ 0 means
 	// GOMAXPROCS. Cache hits are served without occupying a worker slot.
 	Parallelism int
-	// ResultStore, if set, persists whole results behind the in-memory
-	// result cache: misses consult the store before simulating, and every
-	// newly computed cacheable result is encoded and written through, so
-	// a later engine — or a later process, with a disk-backed store —
-	// skips the work entirely. Blobs are framed by the codec's schema
-	// version; stale or corrupt entries read as misses.
+	// ResultStore, if set, persists whole results in place of the
+	// in-memory result cache, so the store's byte bound is the bound on
+	// the results a long-lived engine holds. The engine then keeps only
+	// in-flight results, so concurrent callers of one job still share a
+	// single run. Every other lookup consults the store before
+	// simulating, and every newly computed result is encoded and written
+	// through, so a later call, engine or process (with a disk-backed
+	// store) skips the work entirely. Blobs are framed by the codec's
+	// schema version; stale or corrupt entries read as misses.
 	ResultStore store.Store
 	// DisableCache turns every cache off (each job re-annotates and
 	// re-simulates from scratch), including ResultStore and core pooling.
@@ -215,7 +218,9 @@ type Engine struct {
 type CacheStats struct {
 	// Simulations counts actual pipeline executions (cache misses).
 	Simulations int64
-	// ResultHits/ResultMisses count whole-result cache lookups.
+	// ResultHits/ResultMisses count whole-result cache lookups. With a
+	// ResultStore the cache holds only in-flight runs and joining one is
+	// no hit, so ResultHits stays 0 and repeats show up as StoreHits.
 	ResultHits, ResultMisses int64
 	// TraceMisses counts trace expansions: every simulation expands its
 	// own trace. TraceHits is always 0, because expanding costs less than
@@ -223,9 +228,9 @@ type CacheStats struct {
 	TraceHits, TraceMisses int64
 	// ProgramHits/ProgramMisses count annotated-program cache lookups.
 	ProgramHits, ProgramMisses int64
-	// StoreHits/StoreMisses count persistent result-store lookups (only
-	// performed on in-memory result-cache misses); StoreErrors counts
-	// blobs that failed to decode or encode.
+	// StoreHits/StoreMisses count persistent result-store lookups (one
+	// per result-cache miss); StoreErrors counts blobs that failed to
+	// decode or encode.
 	StoreHits, StoreMisses, StoreErrors int64
 	// CorePoolHits counts simulations served by a pooled, Reset core;
 	// CorePoolMisses counts fresh core constructions on the cached path.
@@ -468,17 +473,19 @@ func (e *Engine) run(ctx context.Context, job Job, fl *obs.Flight) *Result {
 		// The compute closure runs on exactly one caller's goroutine, so
 		// the spans it records (store_get / execute / encode / store_put)
 		// land on that caller's flight; joiners record only the cache_hit
-		// wait below.
+		// wait below. With a store the cache retains nothing: finished
+		// results live in the store alone.
 		waitStart := fl.Begin()
+		retain := e.opts.ResultStore == nil
 		res, hit, aborted := e.results.get(ctx.Done(), key, func() (*Result, bool) {
 			if r := e.storedResult(key, job, fl); r != nil {
-				return r, true
+				return r, false
 			}
 			r := e.execute(ctx, job, fl)
 			if r.Err == nil {
 				e.persistResult(key, r, fl)
 			}
-			return r, r.Err == nil
+			return r, r.Err == nil && retain
 		})
 		if hit {
 			fl.Span("cache_hit", waitStart)

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
 
 	"clustersim/internal/engine"
@@ -112,4 +113,39 @@ func (m mangleStore) Get(key string) ([]byte, bool) {
 	bad := append([]byte(nil), blob...)
 	bad[0] ^= 0xff
 	return bad, ok
+}
+
+// An engine with a ResultStore keeps no finished results of its own:
+// concurrent callers of one job share a single run, and a later repeat is
+// served from the store with the same metrics.
+func TestStoreBackedEngineServesRepeatsFromStore(t *testing.T) {
+	eng := engine.New(engine.Options{Parallelism: 2, ResultStore: store.NewMemory(1 << 20)})
+	job := quickJob("gzip-1", sim.SetupOP(2))
+	var wg sync.WaitGroup
+	firsts := make([]*engine.Result, 4)
+	for i := range firsts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			firsts[i] = eng.Run(context.Background(), job)
+		}()
+	}
+	wg.Wait()
+	for _, r := range firsts {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	if st := eng.Stats(); st.Simulations != 1 {
+		t.Fatalf("concurrent callers ran %d simulations, want 1", st.Simulations)
+	}
+	before := eng.Stats()
+	again := eng.Run(context.Background(), job)
+	st := eng.Stats().Delta(before)
+	if st.Simulations != 0 || st.StoreHits != 1 || st.ResultHits != 0 {
+		t.Errorf("repeat: %+v, want one store hit and no simulation or result-cache hit", st)
+	}
+	if !bytes.Equal(encode(t, firsts[0].Metrics), encode(t, again.Metrics)) {
+		t.Error("store-served metrics differ from the computed ones")
+	}
 }

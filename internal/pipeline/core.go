@@ -70,6 +70,20 @@ type valueState struct {
 	// waiters heads the list of stores parked until this value is
 	// readable in their cluster (seq+1; 0 is empty).
 	waiters int64
+	// iqWait heads the list of issue-queue entries waiting for this value
+	// to become readable in their cluster: an index into Core.iqWaiters,
+	// 0 when empty. A waited-on value is always live, since the writer
+	// that overwrites its register commits only after its consumers.
+	iqWait int32
+}
+
+// iqWaiter is one node of a value's iqWait list: issue-queue entry e in
+// queue q of cluster ci, and the next node's index (0 ends the list).
+type iqWaiter struct {
+	e    *cluster.Entry
+	q    *cluster.IQ
+	ci   int32
+	next int32
 }
 
 // event is a scheduled micro-architectural occurrence.
@@ -221,11 +235,15 @@ type Core struct {
 	// replays.
 	lastStall StallReason
 
-	// planCopies, unready and copyTags are dispatch-stage scratch buffers,
-	// reused across cycles so steering/dispatch never allocates.
+	// iqWaiters pools the nodes of the values' iqWait lists. Index 0 is
+	// the empty link; iqFree heads the free nodes. It holds one node per
+	// operand an issue-queue slot can wait on, so it never runs out.
+	iqWaiters []iqWaiter
+	iqFree    int32
+
+	// planCopies is a dispatch-stage scratch buffer, reused across cycles
+	// so steering/dispatch never allocates.
 	planCopies []plannedCopy
-	unready    []int64
-	copyTags   []int64
 
 	// copyInserted records copy-queue insertion cycles for the optional
 	// copy-latency histogram (nil unless TrackHistograms).
@@ -323,6 +341,10 @@ func NewCore(cfg Config, pol steer.Policy, tr *trace.Trace) (*Core, error) {
 	for i := 0; i < cfg.NumClusters; i++ {
 		c.clusters = append(c.clusters, cluster.New(i, cfg.Cluster))
 	}
+	// INT and FP entries wait on at most two operands, copies on one.
+	q := cfg.Cluster
+	c.iqWaiters = make([]iqWaiter, 1+cfg.NumClusters*(2*q.IQInt+2*q.IQFP+q.IQCopy))
+	c.resetWaiters()
 	for r := range c.regVal {
 		c.regVal[r] = initialValue
 	}
@@ -425,6 +447,27 @@ func (s steerCtx) ValueClusters(r uarch.Reg) uint32 {
 
 // --- value helpers ---------------------------------------------------------
 
+// resetWaiters frees every node of the iqWait pool.
+func (c *Core) resetWaiters() {
+	for i := range c.iqWaiters {
+		c.iqWaiters[i] = iqWaiter{next: int32(i + 1)}
+	}
+	c.iqWaiters[len(c.iqWaiters)-1].next = 0
+	c.iqFree = 1
+}
+
+// waitFor links entry e, queued in q of cluster ci, onto v's iqWait list.
+func (c *Core) waitFor(v *valueState, ci int, q *cluster.IQ, e *cluster.Entry) {
+	n := c.iqFree
+	if n == 0 {
+		panic("pipeline: issue-queue waiter pool exhausted")
+	}
+	w := &c.iqWaiters[n]
+	c.iqFree = w.next
+	*w = iqWaiter{e: e, q: q, ci: int32(ci), next: v.iqWait}
+	v.iqWait = n
+}
+
 // valueReadyIn marks value seq readable in cluster ci and wakes its waiters.
 func (c *Core) valueReadyIn(seq int64, ci int) {
 	v := c.value(seq)
@@ -436,10 +479,20 @@ func (c *Core) valueReadyIn(seq int64, ci int) {
 		return
 	}
 	v.readyMask |= bit
-	cl := c.clusters[ci]
-	cl.IntQ.Wakeup(seq)
-	cl.FPQ.Wakeup(seq)
-	cl.CopyQ.Wakeup(seq)
+	// Wake the issue-queue entries waiting in cluster ci; entries in other
+	// clusters stay linked until their own copy arrives.
+	for link := &v.iqWait; *link != 0; {
+		n := *link
+		w := &c.iqWaiters[n]
+		if int(w.ci) != ci {
+			link = &w.next
+			continue
+		}
+		*link = w.next
+		w.q.OperandReady(w.e)
+		*w = iqWaiter{next: c.iqFree}
+		c.iqFree = n
+	}
 	// Wake the stores parked on this value in cluster ci; stores parked in
 	// other clusters stay linked.
 	for link := &v.waiters; *link != 0; {
@@ -473,6 +526,9 @@ func (c *Core) freeValue(seq int64) {
 	v := c.value(seq)
 	if v == nil {
 		return
+	}
+	if v.iqWait != 0 {
+		panic(fmt.Sprintf("pipeline: value %d freed with issue-queue entries waiting on it", seq))
 	}
 	for ci := 0; ci < c.cfg.NumClusters; ci++ {
 		if v.allocMask&(1<<uint(ci)) != 0 {
@@ -539,6 +595,7 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	for _, cl := range c.clusters {
 		cl.Reset()
 	}
+	c.resetWaiters()
 	c.net.Reset()
 	c.lsq.Reset()
 	c.mem.Reset()
@@ -561,8 +618,6 @@ func (c *Core) Reset(cfg Config, pol steer.Policy, tr *trace.Trace) error {
 	c.lastStall = StallNone
 
 	c.planCopies = c.planCopies[:0]
-	c.unready = c.unready[:0]
-	c.copyTags = c.copyTags[:0]
 
 	c.committed = 0
 	// The previous run's detached metrics may still be referenced by

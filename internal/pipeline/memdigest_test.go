@@ -104,9 +104,16 @@ func runEncoded(t *testing.T, cfg Config, tr *trace.Trace, pol steer.Policy) ([]
 	if err != nil {
 		t.Fatal(err)
 	}
+	return encodeRun(t, core), core
+}
+
+// encodeRun runs a built or Reset core and gob-encodes what runEncoded
+// does.
+func encodeRun(t *testing.T, core *Core) []byte {
+	t.Helper()
 	m, err := core.Run()
 	if err != nil {
-		t.Fatalf("%s/%s: %v", tr.Name, pol.Name(), err)
+		t.Fatalf("%s/%s: %v", core.tr.Name, core.policy.Name(), err)
 	}
 	var b bytes.Buffer
 	if err := gob.NewEncoder(&b).Encode(struct {
@@ -115,7 +122,7 @@ func runEncoded(t *testing.T, cfg Config, tr *trace.Trace, pol steer.Policy) ([]
 	}{m, core.ComplexityOf()}); err != nil {
 		t.Fatal(err)
 	}
-	return b.Bytes(), core
+	return b.Bytes()
 }
 
 func memStressRun(t *testing.T, cfg Config, tr *trace.Trace, pol string) string {

@@ -446,7 +446,6 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 	// Plan operand copies: a source value not present (nor en route) in the
 	// target cluster needs an explicit copy micro-op in its home cluster.
 	copies := c.planCopies[:0]
-	unready := c.unready[:0]
 	needRegInt, needRegFP := 0, 0
 	if u.Static.Dst != uarch.RegNone {
 		if u.Static.Dst.IsFP() {
@@ -515,14 +514,18 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 	seq := slot.seq
 	for _, pc := range copies {
 		v := c.value(pc.vseq)
-		tags := c.copyTags[:0]
-		if !c.valueIsReadyIn(pc.vseq, pc.home) {
-			tags = append(tags, pc.vseq)
+		q := c.clusters[pc.home].CopyQ
+		pending := 0
+		if v.readyMask&(1<<uint(pc.home)) == 0 {
+			pending = 1
 		}
-		if !c.clusters[pc.home].CopyQ.Insert(pc.vseq, ci, tags) {
+		e := q.Insert(pc.vseq, ci, pending)
+		if e == nil {
 			panic("pipeline: copy queue insert failed after capacity check")
 		}
-		c.copyTags = tags[:0]
+		if pending > 0 {
+			c.waitFor(v, pc.home, q, e)
+		}
 		v.locMask |= 1 << uint(ci)
 		v.allocMask |= 1 << uint(ci)
 		cl.AllocReg(pc.reg)
@@ -533,6 +536,8 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 		}
 	}
 	isStore := u.Static.Opcode == uarch.OpStore
+	var unready [2]*valueState
+	pending := 0
 	for i, src := range srcs {
 		if src == uarch.RegNone || vseqs[i] == initialValue {
 			continue
@@ -543,23 +548,22 @@ func (c *Core) tryDispatch(slot *fetchSlot) StallReason {
 		if isStore && i == 0 {
 			continue
 		}
-		if c.valueIsReadyIn(vseqs[i], ci) {
+		v := c.value(vseqs[i])
+		if v == nil || v.readyMask&(1<<uint(ci)) != 0 {
 			continue
 		}
-		dup := false
-		for _, t := range unready {
-			if t == vseqs[i] {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			unready = append(unready, vseqs[i])
+		if pending == 0 || unready[0] != v {
+			unready[pending] = v
+			pending++
 		}
 	}
-	c.unready = unready[:0]
-	if !cl.QueueFor(class).Insert(seq, 0, unready) {
+	q := cl.QueueFor(class)
+	e := q.Insert(seq, 0, pending)
+	if e == nil {
 		panic("pipeline: IQ insert failed after capacity check")
+	}
+	for _, v := range unready[:pending] {
+		c.waitFor(v, ci, q, e)
 	}
 	if u.IsMem() {
 		if !c.lsq.Allocate(seq, u.Static.Opcode == uarch.OpStore) {

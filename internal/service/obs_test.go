@@ -77,7 +77,8 @@ func submitOne(t *testing.T, ts *httptest.Server, traceBase string) service.Subm
 // The end-to-end trace contract: a cold job's flight carries the execute
 // span exactly once (nested under the submission alongside annotate,
 // expand, encode, store_put), and a warm resubmission of the same job is
-// a cache_hit flight with no execute span at all.
+// served by one store_get with no execute span at all: an engine with a
+// result store keeps no finished results in memory.
 func TestTraceEndToEnd(t *testing.T) {
 	ts, _ := startTracedServer(t)
 
@@ -116,8 +117,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Errorf("negative unaccounted time %d", tr.UnaccountedUs)
 	}
 
-	// Warm rerun: same job, new submission — served from cache, so the
-	// flight is a cache_hit with zero execute spans.
+	// Warm rerun: same job, new submission — served from the store, so
+	// the flight is a store_get with zero execute spans.
 	warm := submitOne(t, ts, "e2e-warm")
 	_, body = getBody(t, ts.URL+"/v1/trace/"+warm.TraceIDs[0])
 	var wtr api.TraceResponse
@@ -131,8 +132,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	if wcount["execute"] != 0 {
 		t.Errorf("warm flight executed: %+v", wtr.Spans)
 	}
-	if wcount["cache_hit"] != 1 {
-		t.Errorf("warm flight has %d cache_hit spans, want 1 (%+v)", wcount["cache_hit"], wtr.Spans)
+	if wcount["store_get"] != 1 {
+		t.Errorf("warm flight has %d store_get spans, want 1 (%+v)", wcount["store_get"], wtr.Spans)
 	}
 
 	// Chrome rendering of the same flight is loadable trace-event JSON.
